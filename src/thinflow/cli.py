@@ -169,6 +169,11 @@ def _build_forcing(cfg: dict, domain: sp.DomainSpec, rng: np.random.Generator) -
 
 
 def _simulate_impl(cfg: dict, out: str) -> tuple[sv.RunResult, dict, list[str]]:
+    if "dealias" in cfg:
+        raise ConfigError(
+            "config key 'dealias' was removed: products are always formed on the "
+            "padded grid; delete the key"
+        )
     domain = _domain_from(cfg)
     seed = _coerce(cfg, "seed", int, default=0)
     rng = np.random.default_rng(seed)
@@ -185,7 +190,6 @@ def _simulate_impl(cfg: dict, out: str) -> tuple[sv.RunResult, dict, list[str]]:
         dt=_coerce(cfg, "dt", float, required=True),
         t_end=_coerce(cfg, "t_end", float, required=True),
         scheme=cfg.get("scheme", "etd-rk2"),
-        dealias=_coerce(cfg, "dealias", bool, default=True),
         diag_stride=_coerce(cfg, "diag_stride", int, default=1),
         checkpoint_stride=_coerce(cfg, "checkpoint_stride", int, default=0),
         enforce_cfl=_coerce(cfg, "enforce_cfl", bool, default=True),

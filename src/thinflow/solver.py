@@ -5,15 +5,23 @@ domain's mode box, with PL the combination of the mode cutoff and the
 divergence-free projection.  Diffusion is diagonal in modes and extremely
 stiff in the thin direction (multiplier ~ p^2/eps^2), so the default schemes
 treat it exactly through exponential integrators; the nonlinear and forcing
-terms are explicit.  Quadratic products are formed on padded grids so the
-convolution is exact on the retained band, which keeps advection exactly
-energy-neutral.
+terms are explicit.
+
+Advection is computed in divergence form, div(u u), which equals u . grad u
+pointwise for divergence-free band-limited fields.  The six distinct
+products u_i u_j are formed on a padded grid, so the convolution is exact on
+the retained band and advection stays energy-neutral to roundoff.  One
+nonlinear evaluation costs two real FFT calls: an inverse of the three
+velocity components and a forward of the six products.  Both transforms
+return exactly Hermitian coefficients and every linear factor is even in k,
+so steps need no re-symmetrization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +33,6 @@ from .spectral import (
     divergence_defect,
     grid_coords,
     h1_norm,
-    hermitian_symmetrize,
     kvec_grids,
     ksq_grid,
     leray,
@@ -111,10 +118,10 @@ class Modulation:
 class ForcingSpec:
     """Divergence-free forcing: a projected profile times a time modulation.
 
-    The profile is Leray-projected (and mean-free by construction) when the
-    spec is built, and projected again at every evaluation so arithmetic on
-    modulations can never push the forcing off the divergence-free subspace.
-    f_bound is sup_t ||f(t)||_2.
+    The profile must already be Leray-projected (and mean-free); the
+    constructors below project it once.  A scalar modulation keeps it
+    divergence-free, so evaluations do not project again.  f_bound is
+    sup_t ||f(t)||_2.
     """
 
     profile: SpectralField
@@ -140,7 +147,7 @@ class ForcingSpec:
         return cls(proj, mod, norm_l2(proj) * mod.sup_abs())
 
     def value(self, t: float) -> SpectralField:
-        return leray(self.profile) * self.modulation.value(t)
+        return self.profile * self.modulation.value(t)
 
     def l2_at(self, t: float) -> float:
         return norm_l2(self.profile) * abs(self.modulation.value(t))
@@ -149,7 +156,7 @@ class ForcingSpec:
         a = self.modulation.value(t)
         if a == 0.0:
             return None
-        return _leray_raw(self.profile.coeffs, self.profile.domain) * a
+        return self.profile.coeffs * a
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,6 @@ class SolverConfig:
     dt: float
     t_end: float
     scheme: str = "etd-rk2"
-    dealias: bool = True
     diag_stride: int = 1
     checkpoint_stride: int = 0
     enforce_cfl: bool = True
@@ -214,17 +220,26 @@ class BlowUpError(RuntimeError):
         self.report = report
 
 
+# the six distinct products u_i u_j, and for each i the product index of (i, j), j = 0..2
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_ROWS = ([0, 3, 4], [3, 1, 5], [4, 5, 2])
+
+
 def _advect_raw(coeffs: np.ndarray, spec: DomainSpec, grid: tuple[int, int, int]) -> np.ndarray:
-    """(u . grad u) coefficients on the mode box via padded-grid products."""
+    """div(u u) coefficients on the mode box via padded-grid products.
+
+    Equal to (u . grad u) for divergence-free u.  Two real FFT calls: one
+    inverse of the 3 velocity components, one forward of the 6 products.
+    """
+    u = _synth(coeffs, spec, grid)
+    prods = np.empty((len(_PAIRS),) + u.shape[1:])
+    for q, (i, j) in enumerate(_PAIRS):
+        np.multiply(u[i], u[j], out=prods[q])
+    uu = _analyze(prods, spec)
     k1, k2, k3 = kvec_grids(spec)
-    two_pi_i = 2j * np.pi
-    deriv_stack = np.empty((3, 3) + spec.shape, dtype=np.complex128)
-    for i, kk in enumerate((k1, k2, k3)):
-        deriv_stack[i] = two_pi_i * kk * coeffs
-    u_phys = _synth(coeffs, spec, grid)
-    d_phys = _synth(deriv_stack, spec, grid)
-    adv_phys = np.einsum("ixyz,ijxyz->jxyz", u_phys, d_phys)
-    return _analyze(adv_phys, spec)
+    out = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]] + k3 * uu[_ROWS[2]]
+    out *= 2j * np.pi
+    return out
 
 
 def _nonlinear_raw(
@@ -240,7 +255,7 @@ def _nonlinear_raw(
     return out
 
 
-def nonlinear_term(u: SpectralField, dealias: bool = True) -> SpectralField:
+def nonlinear_term(u: SpectralField) -> SpectralField:
     """-L(u . grad u) for a divergence-free field.
 
     Rejects inputs whose per-mode relative divergence exceeds the contract
@@ -252,19 +267,17 @@ def nonlinear_term(u: SpectralField, dealias: bool = True) -> SpectralField:
             f"nonlinear_term requires a divergence-free field (defect {defect:.3e})"
         )
     spec = u.domain
-    grid = default_grid(spec) if dealias else spec.shape
-    raw = _nonlinear_raw(u.coeffs, spec, grid, None)
-    return SpectralField._wrap(spec, hermitian_symmetrize(raw))
+    return SpectralField._wrap(spec, _nonlinear_raw(u.coeffs, spec, default_grid(spec), None))
 
 
 class _Stepper:
     """Precomputed exponential/implicit factors for one (domain, dt, scheme)."""
 
-    def __init__(self, spec: DomainSpec, dt: float, scheme: str, dealias: bool):
+    def __init__(self, spec: DomainSpec, dt: float, scheme: str):
         self.spec = spec
         self.dt = dt
         self.scheme = scheme
-        self.grid = default_grid(spec) if dealias else spec.shape
+        self.grid = default_grid(spec)
         lam = -spec.nu * (2.0 * np.pi) ** 2 * np.asarray(ksq_grid(spec))
         z = lam * dt
         if scheme == "etd-rk2":
@@ -309,7 +322,7 @@ class _Stepper:
             pred = self.cn_den * (self.cn_num * coeffs + dt * n0)
             n1 = self.nonlinear(pred, t + dt, forcing)
             out = self.cn_den * (self.cn_num * coeffs + 0.5 * dt * (n0 + n1))
-        return hermitian_symmetrize(out)
+        return out
 
 
 def _phi_contour(z: np.ndarray, order: int, n_points: int = 32) -> np.ndarray:
@@ -350,18 +363,7 @@ def _etdrk4_weight(z: np.ndarray, which: int, n_points: int = 32) -> np.ndarray:
     return vals.mean(axis=-1).real
 
 
-_STEPPER_CACHE: dict[tuple, _Stepper] = {}
-
-
-def _get_stepper(spec: DomainSpec, dt: float, scheme: str, dealias: bool) -> _Stepper:
-    key = (spec, dt, scheme, dealias)
-    stepper = _STEPPER_CACHE.get(key)
-    if stepper is None:
-        stepper = _Stepper(spec, dt, scheme, dealias)
-        if len(_STEPPER_CACHE) > 32:
-            _STEPPER_CACHE.clear()
-        _STEPPER_CACHE[key] = stepper
-    return stepper
+_get_stepper = lru_cache(maxsize=32)(_Stepper)
 
 
 def _check_blowup(coeffs: np.ndarray, t: float, step_no: int, threshold: float) -> None:
@@ -382,7 +384,7 @@ def _check_blowup(coeffs: np.ndarray, t: float, step_no: int, threshold: float) 
 
 def step(state: RunState, forcing: ForcingSpec | None, cfg: SolverConfig) -> RunState:
     """Advance one step of cfg.dt, preserving mean-zero and divergence-free."""
-    stepper = _get_stepper(state.u.domain, cfg.dt, cfg.scheme, cfg.dealias)
+    stepper = _get_stepper(state.u.domain, cfg.dt, cfg.scheme)
     raw = stepper.advance(state.u.coeffs, state.t, forcing)
     _check_blowup(raw, state.t + cfg.dt, state.step + 1, cfg.blowup_threshold)
     u = SpectralField._wrap(state.u.domain, raw)

@@ -7,10 +7,15 @@ indices |m| <= n1, |n| <= n2, |p| <= n3, following the synthesis convention
 
     u_j(x, y, z) = sum_{m,n,p} c_j(m,n,p) exp(2 pi i (m x/l1 + n y/l2 + p z/eps)).
 
-Real-valuedness is the Hermitian symmetry c(-m,-n,-p) = conj(c(m,n,p)); it is
-enforced (symmetrize-and-verify) at construction because silent drift would
-make fields complex.  The (0,0,0) mode is structurally pinned to zero: all
-fields live in the mean-free reduction.
+Real-valuedness is the Hermitian symmetry c(-m,-n,-p) = conj(c(m,n,p)).
+Coefficients from outside (a SpectralField built from a user array or a
+checkpoint) are symmetrized and verified at construction, because silent
+drift would make fields complex.  Internal transforms need no such repair:
+physical samples come from one real-to-complex transform pair that reads and
+writes only the p >= 0 half of the mode box and fills p < 0 by conjugate
+mirror, so every box it returns is exactly Hermitian, and the diagonal
+operators applied afterwards keep it so.  The (0,0,0) mode is structurally
+pinned to zero: all fields live in the mean-free reduction.
 
 Physical frequencies are k = (m/l1, n/l2, p/eps).  The fractional derivative
 D^alpha acts as the real multiplier (2 pi |k|)^alpha; every use downstream is
@@ -25,7 +30,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fftn, ifftn, next_fast_len
+from scipy.fft import next_fast_len
+
+# The pair calls the real transforms through these module names, so a caller
+# can wrap them per call (perfbench/tracing.py counts FFTs this way).  They run
+# on one thread: no measured size cut shows more workers winning on a shared host.
+from scipy.fft import irfftn as ifftn, rfftn as fftn
 
 __all__ = [
     "DomainSpec",
@@ -291,23 +301,6 @@ def _fft_bins(n: int, size: int) -> np.ndarray:
     return np.asarray(mode_range(n) % size)
 
 
-def _embed(coeffs: np.ndarray, spec: DomainSpec, grid: tuple[int, int, int]) -> np.ndarray:
-    b1 = _fft_bins(spec.n1, grid[0])
-    b2 = _fft_bins(spec.n2, grid[1])
-    b3 = _fft_bins(spec.n3, grid[2])
-    full = np.zeros(coeffs.shape[:-3] + grid, dtype=np.complex128)
-    full[..., b1[:, None, None], b2[None, :, None], b3[None, None, :]] = coeffs
-    return full
-
-
-def _extract(full: np.ndarray, spec: DomainSpec) -> np.ndarray:
-    grid = full.shape[-3:]
-    b1 = _fft_bins(spec.n1, grid[0])
-    b2 = _fft_bins(spec.n2, grid[1])
-    b3 = _fft_bins(spec.n3, grid[2])
-    return full[..., b1[:, None, None], b2[None, :, None], b3[None, None, :]]
-
-
 def _check_grid(spec: DomainSpec, grid: tuple[int, int, int]) -> None:
     if any(g < m for g, m in zip(grid, spec.shape)):
         raise ValueError(
@@ -317,17 +310,35 @@ def _check_grid(spec: DomainSpec, grid: tuple[int, int, int]) -> None:
 
 
 def _synth(coeffs: np.ndarray, spec: DomainSpec, grid: tuple[int, int, int]) -> np.ndarray:
-    """Evaluate the Fourier series on a uniform grid (real part)."""
-    full = _embed(coeffs, spec, grid)
-    phys = ifftn(full, axes=(-3, -2, -1), workers=-1) * np.prod(grid)
-    return np.ascontiguousarray(phys.real)
+    """Real samples of Hermitian coefficients on a uniform grid (one c2r call).
+
+    Only the p >= 0 half of the mode box is read; c2r implies the rest.
+    """
+    b1 = _fft_bins(spec.n1, grid[0])
+    b2 = _fft_bins(spec.n2, grid[1])
+    half = np.zeros(coeffs.shape[:-3] + (grid[0], grid[1], grid[2] // 2 + 1), dtype=np.complex128)
+    half[..., b1[:, None], b2, : spec.n3 + 1] = coeffs[..., spec.n3 :]
+    return ifftn(half, s=grid, axes=(-3, -2, -1), norm="forward", workers=1)
 
 
 def _analyze(samples: np.ndarray, spec: DomainSpec) -> np.ndarray:
-    """Coefficients of the retained modes from uniform samples."""
-    full = fftn(np.asarray(samples, dtype=np.float64), axes=(-3, -2, -1), workers=-1)
-    full /= np.prod(samples.shape[-3:])
-    return np.ascontiguousarray(_extract(full, spec))
+    """Exactly Hermitian retained-mode coefficients of real samples (one r2c call).
+
+    The p >= 0 half is read from the transform, the p = 0 plane is
+    symmetrized and p < 0 is filled by conjugate mirror.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    grid = samples.shape[-3:]
+    n3 = spec.n3
+    half = fftn(samples, axes=(-3, -2, -1), norm="forward", workers=1)
+    b1 = _fft_bins(spec.n1, grid[0])
+    b2 = _fft_bins(spec.n2, grid[1])
+    out = np.empty(samples.shape[:-3] + spec.shape, dtype=np.complex128)
+    out[..., n3:] = half[..., b1[:, None], b2, : n3 + 1]
+    plane = out[..., n3]
+    plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=(-2, -1))))
+    out[..., :n3] = np.conj(np.flip(out[..., n3 + 1 :], axis=(-3, -2, -1)))
+    return out
 
 
 def to_physical(f: SpectralField, grid: tuple[int, int, int] | None = None) -> np.ndarray:
@@ -350,7 +361,7 @@ def to_spectral(samples: np.ndarray, domain: DomainSpec) -> SpectralField:
     if samples.ndim != 4 or samples.shape[0] != 3:
         raise ValueError("samples must have shape (3, N1, N2, N3)")
     _check_grid(domain, samples.shape[1:])
-    return SpectralField(domain, _analyze(samples, domain))
+    return SpectralField._wrap(domain, _analyze(samples, domain))
 
 
 def _ds_multiplier(spec: DomainSpec, alpha: float) -> np.ndarray:
@@ -556,7 +567,12 @@ def load_checkpoint(path) -> tuple[SpectralField, dict]:
             n2=header["n2"],
             n3=header["n3"],
         )
-        count = 3 * int(np.prod(domain.shape))
-        data = np.frombuffer(fh.read(count * 16), dtype="<c16").astype(np.complex128)
-    coeffs = data.reshape((3,) + domain.shape)
-    return SpectralField(domain, coeffs), header
+        payload = fh.read()
+    expected = 16 * 3 * int(np.prod(domain.shape))
+    if len(payload) != expected:
+        raise ValueError(
+            f"{path}: checkpoint payload is {len(payload)} bytes, "
+            f"the header implies {expected}"
+        )
+    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    return SpectralField(domain, data.reshape((3,) + domain.shape)), header

@@ -91,6 +91,13 @@ class TestConfigParsing:
         ])
         assert rc == cli.EXIT_CONFIG
 
+    def test_removed_dealias_key_is_config_error(self, planar_cfg, tmp_path, capsys):
+        rc = run_cli([
+            "simulate", "-c", planar_cfg, "--out", str(tmp_path / "o"), "--set", "dealias=true",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert "'dealias' was removed" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_artifacts_and_planar_closure(self, planar_cfg, tmp_path):

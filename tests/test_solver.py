@@ -237,6 +237,15 @@ class TestForcing:
         )
         assert f.f_bound == pytest.approx(0.2 * sp.norm_l2(f.profile), rel=1e-12)
 
+    def test_evaluation_does_not_reproject(self, rng):
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
+        f = sv.ForcingSpec.sinusoidal(sp.random_field(d, rng), omega=2.0, amplitude=0.5)
+        assert f._raw(0.0) is None  # sin(0) = 0: no forcing term at all
+        for t in (0.3, 1.1):
+            a = f.modulation.value(t)
+            assert np.array_equal(f._raw(t), f.profile.coeffs * a)
+            assert np.array_equal(f.value(t).coeffs, f.profile.coeffs * a)
+
     def test_modulation_validation(self):
         with pytest.raises(ValueError, match="omega"):
             sv.Modulation(kind="sin", omega=0.0)

@@ -350,3 +350,15 @@ class TestCheckpoint:
         path.write_bytes(bad)
         with pytest.raises(ValueError, match="format"):
             sp.load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut,extra", [(16, b""), (0, b"\x00")], ids=["truncated", "trailing"])
+    def test_payload_length_checked(self, small_domain, rng, tmp_path, cut, extra):
+        f = sp.random_field(small_domain, rng)
+        path = tmp_path / "field.ckpt"
+        sp.save_checkpoint(f, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - cut] + extra)
+        want = 16 * 3 * int(np.prod(small_domain.shape))
+        got = want - cut + len(extra)
+        with pytest.raises(ValueError, match=rf"field\.ckpt.*{got} bytes.*{want}"):
+            sp.load_checkpoint(path)

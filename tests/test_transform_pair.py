@@ -1,0 +1,91 @@
+"""Tests for the real transform pair and the divergence-form nonlinear term.
+
+The reference for the nonlinear term is the advective form u . grad u,
+computed here with full complex numpy.fft transforms on the same padded grid.
+The domains cover odd and even grid sizes on every axis, n3 = 1, l1 > l2 and
+n1 != n2.
+"""
+
+import numpy as np
+import pytest
+
+from thinflow import solver as sv
+from thinflow import spectral as sp
+
+DOMAINS = [
+    # grid (27, 27, 8): odd horizontal, even vertical
+    sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=8, n2=8, n3=2),
+    # grid (18, 24, 5): n3 = 1, l1 > l2, n1 != n2, odd vertical
+    sp.DomainSpec(l1=1.5, l2=1.0, eps=0.2, nu=1.0, n1=5, n2=7, n3=1),
+    # grid (20, 14, 11): l1 > l2, n1 > n2
+    sp.DomainSpec(l1=2.0, l2=1.0, eps=0.1, nu=1.0, n1=6, n2=4, n3=3),
+]
+IDS = ["8x8x2", "5x7x1", "6x4x3"]
+
+
+def is_hermitian(c: np.ndarray) -> bool:
+    return bool(np.array_equal(c, np.conj(np.flip(c, axis=(-3, -2, -1)))))
+
+
+def advective_reference(u: sp.SpectralField) -> np.ndarray:
+    """-L(u . grad u) with complex numpy.fft transforms, one per field."""
+    d = u.domain
+    grid = sp.default_grid(d)
+    k = sp.kvec_grids(d)
+    bins = np.ix_(*(np.arange(-n, n + 1) % g for n, g in zip((d.n1, d.n2, d.n3), grid)))
+
+    def synth(c):
+        full = np.zeros(grid, dtype=complex)
+        full[bins] = c
+        return np.fft.ifftn(full).real * np.prod(grid)
+
+    vel = [synth(u.coeffs[i]) for i in range(3)]
+    adv = np.empty((3,) + d.shape, dtype=complex)
+    for j in range(3):
+        phys = sum(vel[i] * synth(2j * np.pi * k[i] * u.coeffs[j]) for i in range(3))
+        adv[j] = (np.fft.fftn(phys) / np.prod(grid))[bins]
+    ksq = np.where(sp.ksq_grid(d) == 0.0, 1.0, sp.ksq_grid(d))
+    s = (k[0] * adv[0] + k[1] * adv[1] + k[2] * adv[2]) / ksq
+    out = -np.stack([adv[i] - k[i] * s for i in range(3)])
+    out[:, d.n1, d.n2, d.n3] = 0.0
+    return out
+
+
+def velocity(d: sp.DomainSpec, seed: int = 5) -> sp.SpectralField:
+    return sv.make_initial(d, "random-divfree", u_target=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("d", DOMAINS, ids=IDS)
+class TestTransformPair:
+    def test_nonlinear_term_matches_advective_form(self, d):
+        u = velocity(d)
+        got = sv.nonlinear_term(u).coeffs
+        ref = advective_reference(u)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_to_spectral_exactly_hermitian(self, d):
+        rng = np.random.default_rng(11)
+        f = sp.to_spectral(rng.standard_normal((3,) + sp.default_grid(d)), d)
+        assert is_hermitian(f.coeffs)
+
+    def test_nonlinear_term_exactly_hermitian(self, d):
+        assert is_hermitian(sv.nonlinear_term(velocity(d)).coeffs)
+
+    @pytest.mark.parametrize("scheme", sv.SCHEMES)
+    def test_step_exactly_hermitian(self, d, scheme):
+        rng = np.random.default_rng(3)
+        forcing = sv.ForcingSpec.steady(sp.random_field(d, rng), amplitude=0.1)
+        cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, scheme=scheme, enforce_cfl=False)
+        state = sv.step(sv.RunState(u=velocity(d), t=0.0, step=0), forcing, cfg)
+        assert is_hermitian(state.u.coeffs)
+
+    def test_round_trip(self, d):
+        u = velocity(d)
+        back = sp.to_spectral(sp.to_physical(u), d).coeffs
+        assert np.max(np.abs(back - u.coeffs)) <= 1e-14 * np.max(np.abs(u.coeffs))
+
+    def test_planar_data_stays_planar(self, d):
+        u = sv.make_initial(d, "z-independent", u_target=1.0, seed=7)
+        nl = sv.nonlinear_term(u).coeffs
+        off_plane = np.delete(nl, d.n3, axis=-1)
+        assert np.max(np.abs(off_plane)) <= 1e-14 * np.max(np.abs(nl))
