@@ -253,7 +253,7 @@ def _synth2d(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> np.ndarr
     m2 = np.arange(-d.n2, d.n2 + 1) % grid[1]
     full = np.zeros(slab.shape[:-2] + grid, dtype=np.complex128)
     full[..., m1[:, None], m2[None, :]] = slab
-    return (ifft2(full, axes=(-2, -1), workers=-1) * np.prod(grid)).real
+    return (ifft2(full, axes=(-2, -1), workers=1) * np.prod(grid)).real
 
 
 def _ksq2d(d: DomainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,18 +372,23 @@ def _ddt(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _inequality_defs(series: DiagnosticSeries, eps: float, regime: str):
-    """(name, lhs, {constant: column}) triples for the requested regime."""
+    """(name, lhs, {constant: column}, lhs_floor) rows for the requested regime.
+
+    lhs_floor is a floor for the scale the fit's slack is relative to.  It is
+    zero except where the LHS is a difference of nearly equal terms, whose
+    roundoff is relative to the terms, not to the difference.
+    """
     t = series.times
     F2 = series.forcing**2
     if regime == "planar":
         phi, psi, phit, psit = series.family("planar")
         return [
             ("planar-phi", _ddt(t, phi**2),
-             {"damping": -(phit**2), "source": F2}),
+             {"damping": -(phit**2), "source": F2}, 0.0),
             ("planar-psi", _ddt(t, psi**2),
-             {"damping": -(psit**2), "coupling": phi**2 * psi**2 / eps, "source": F2}),
+             {"damping": -(psit**2), "coupling": phi**2 * psi**2 / eps, "source": F2}, 0.0),
             ("planar-energy", _ddt(t, series.theta**2),
-             {"damping": -(phi**2 + psi**2), "source": F2}),
+             {"damping": -(phi**2 + psi**2), "source": F2}, 0.0),
         ]
     if regime == "full":
         phi, psi, phit, psit = series.family("full")
@@ -392,13 +397,13 @@ def _inequality_defs(series: DiagnosticSeries, eps: float, regime: str):
         return [
             ("full-phi", _ddt(t, phi**2),
              {"damping": -(phit**2), "shear_damping": -chi2,
-              "shear_coupling": shear, "source": F2}),
+              "shear_coupling": shear, "source": F2}, 0.0),
             ("full-psi", _ddt(t, psi**2),
              {"damping": -(psit**2), "shear_damping": -chi2,
               "coupling": phi**2 * psi**2 / eps,
-              "shear_coupling": shear, "source": F2}),
+              "shear_coupling": shear, "source": F2}, 0.0),
             ("full-energy", _ddt(t, series.theta**2),
-             {"damping": -(phi**2 + psi**2), "source": F2}),
+             {"damping": -(phi**2 + psi**2), "source": F2}, 0.0),
         ]
     if regime == "full-split":
         dr2 = series.phi_2d**2
@@ -410,15 +415,16 @@ def _inequality_defs(series: DiagnosticSeries, eps: float, regime: str):
         return [
             ("split-horizontal", _ddt(t, dr2),
              {"damping": -(series.phi_tilde_2d**2),
-              "shear_coupling": np.sqrt(eps) * dv * chi2, "source": F2}),
+              "shear_coupling": np.sqrt(eps) * dv * chi2, "source": F2}, 0.0),
             ("split-vertical", _ddt(t, ds2),
              {"damping": -(series.psi_tilde_2d**2),
               "coupling": dr2 * ds2 / eps,
-              "shear_coupling": np.sqrt(eps) * dv * chi2, "source": F2}),
+              "shear_coupling": np.sqrt(eps) * dv * chi2, "source": F2}, 0.0),
             ("split-shear", _ddt(t, dw2),
              {"damping": -chi2,
               "shear_coupling": np.sqrt(eps) * dv * chi2,
-              "self_coupling": np.sqrt(eps) * dw * chi2, "source": F2}),
+              "self_coupling": np.sqrt(eps) * dw * chi2, "source": F2},
+             float(np.max(series.phi**2, initial=0.0))),
         ]
     raise ValueError(f"unknown regime {regime!r}")
 
@@ -503,6 +509,7 @@ def _fit_one(
     times: np.ndarray,
     lhs: np.ndarray,
     cols: dict[str, np.ndarray],
+    lhs_floor: float,
     slack_rel: float,
     bounds: dict[str, tuple[float, float]] | None,
     trajectory_id: str,
@@ -514,7 +521,7 @@ def _fit_one(
     term_peaks = {
         n: float(np.max(np.abs(constants[n] * cols[n]), initial=0.0)) for n in cols
     }
-    scale = float(np.max(np.abs(lhs), initial=0.0)) + sum(term_peaks.values())
+    scale = max(float(np.max(np.abs(lhs), initial=0.0)) + sum(term_peaks.values()), lhs_floor)
     slack = slack_rel * max(scale, 1e-300)
     A = np.column_stack([cols[n] for n in cols])
     x = np.array([constants[n] for n in cols])
@@ -550,9 +557,9 @@ def check_diff_inequalities(
     if len(series) < 5:
         raise ValueError("series too short to estimate time derivatives (< 5 samples)")
     reports = []
-    for name, lhs, cols in _inequality_defs(series, eps, regime):
+    for name, lhs, cols, lhs_floor in _inequality_defs(series, eps, regime):
         reports.append(
-            _fit_one(name, series.times, lhs, cols, slack_rel, bounds, trajectory_id)
+            _fit_one(name, series.times, lhs, cols, lhs_floor, slack_rel, bounds, trajectory_id)
         )
     return reports
 
@@ -578,8 +585,9 @@ def fit_shared_constants(
         keys = per[0][idx][2].keys()
         cols = {k: np.concatenate([defs[idx][2][k] for defs in per]) for k in keys}
         times = np.concatenate([s.times for s in series_list])
+        lhs_floor = max(defs[idx][3] for defs in per)
         reports.append(
-            _fit_one(name, times, lhs, cols, slack_rel, bounds, "shared")
+            _fit_one(name, times, lhs, cols, lhs_floor, slack_rel, bounds, "shared")
         )
     return reports
 

@@ -109,7 +109,7 @@ class Field2D:
         m2 = np.arange(-self.n2, self.n2 + 1) % grid[1]
         full = np.zeros(grid, dtype=np.complex128)
         full[m1[:, None], m2[None, :]] = self.coeffs
-        return (ifft2(full, workers=-1) * np.prod(grid)).real
+        return (ifft2(full, workers=1) * np.prod(grid)).real
 
     def norm_l4(self) -> float:
         grid = (next_fast_len(4 * self.n1 + 2), next_fast_len(4 * self.n2 + 2))
@@ -176,84 +176,83 @@ def dyadic_decompose(f: Field2D) -> DyadicProfile:
 # Ratio evaluation.
 # ---------------------------------------------------------------------------
 
-def _q_plane_eval(
-    slab_pos: np.ndarray,
-    n3: int,
-    grid_xy: tuple[int, int],
-    z_count: int,
-    power: float | None,
-) -> float:
-    """sup (power None) or mean of |w|^power over the grid, plane by plane.
+def _xy_synthesis(comp: np.ndarray, grid_xy: tuple[int, int]) -> np.ndarray:
+    """Real and imaginary parts, stacked, of the p >= 0 slabs of one component
+    on the horizontal grid: shape (2 (n3 + 1), gx * gy).
 
-    slab_pos[c, p] holds the (M1, M2) coefficient slab of component c at
-    vertical mode p >= 0; the p < 0 slabs are their conjugate mirrors, so
-    w(., ., z) = W_0 + 2 Re sum_{p>0} W_p e^(2 pi i p z / eps).  Keeping only
-    one z-plane in memory at a time bounds the footprint at large grids.
+    comp holds the (M1, M2, n3 + 1) coefficients with p = 0 .. n3.
     """
-    n_comp, n_pos = slab_pos.shape[:2]
-    planes = ifft2(slab_pos, axes=(-2, -1), workers=-1) * np.prod(grid_xy)
-    acc = 0.0
-    for iz in range(z_count):
-        frac = iz / z_count
-        mag2 = None
-        for c in range(n_comp):
-            wz = planes[c, 0].real.copy()
-            for p in range(1, n_pos):
-                phase = np.exp(2j * np.pi * p * frac)
-                wz += 2.0 * (planes[c, p] * phase).real
-            mag2 = wz * wz if mag2 is None else mag2 + wz * wz
-        if power is None:
-            acc = max(acc, float(np.max(mag2)))
+    n1, n2, n_pos = comp.shape[0] // 2, comp.shape[1] // 2, comp.shape[2]
+    m1 = np.arange(-n1, n1 + 1) % grid_xy[0]
+    m2 = np.arange(-n2, n2 + 1) % grid_xy[1]
+    slabs = np.zeros((n_pos,) + grid_xy, dtype=np.complex128)
+    slabs[:, m1[:, None], m2[None, :]] = np.moveaxis(comp, -1, 0)
+    planes = ifft2(slabs, axes=(-2, -1), norm="forward", workers=1, overwrite_x=True)
+    return np.concatenate([planes.real, planes.imag]).reshape(2 * n_pos, -1)
+
+
+def _grid_mag2(u: SpectralField, grid: tuple[int, int, int]) -> np.ndarray:
+    """|u|^2 sampled on the periodic (gx, gy, gz) grid, as a (gz, gx * gy) array.
+
+    The p < 0 slabs are the conjugate mirrors of the p >= 0 ones, so
+    w(., ., z) = W_0 + 2 Re sum_{p>0} W_p e^(2 pi i p z / eps): after one xy
+    transform per component, the z synthesis is one real matrix product of
+    cos / -sin weights with the stacked real and imaginary parts of W_p.
+    Components that are identically zero are skipped, and besides the running
+    sum only one component's samples exist at a time.  A field with no
+    nonzero component gives a single zero sample.
+    """
+    gx, gy, gz = grid
+    n_pos = u.domain.n3 + 1
+    theta = 2.0 * np.pi * np.outer(np.arange(gz), np.arange(n_pos)) / gz
+    weight = np.where(np.arange(n_pos) == 0, 1.0, 2.0)
+    synth = np.hstack([weight * np.cos(theta), -weight * np.sin(theta)])
+    mag2 = w = None
+    for comp in u.coeffs[..., u.domain.n3 :]:  # p = 0 .. n3
+        if not comp.any():
+            continue
+        # from the second nonzero component on, w is one reused buffer
+        w = np.matmul(synth, _xy_synthesis(comp, (gx, gy)), out=w)
+        w *= w
+        if mag2 is None:
+            mag2, w = w, None
         else:
-            acc += float(np.mean(mag2 ** (power / 2.0)))
-    if power is None:
-        return float(np.sqrt(acc))
-    return acc / z_count
+            mag2 += w
+    return np.zeros(1) if mag2 is None else mag2
 
 
-def _slab_pos(coeffs: np.ndarray, spec: DomainSpec, grid_xy: tuple[int, int]) -> np.ndarray:
-    """Embed the p >= 0 coefficient slabs onto the (padded) horizontal grid."""
-    m1 = np.arange(-spec.n1, spec.n1 + 1) % grid_xy[0]
-    m2 = np.arange(-spec.n2, spec.n2 + 1) % grid_xy[1]
-    n_pos = spec.n3 + 1
-    out = np.zeros((coeffs.shape[0], n_pos) + grid_xy, dtype=np.complex128)
-    src = coeffs[..., spec.n3 :]  # p = 0 .. n3
-    out[:, :, m1[:, None], m2[None, :]] = np.moveaxis(src, -1, 1)
-    return out
+def _oversampled_grid(d: DomainSpec, oversample: int) -> tuple[int, int, int]:
+    return (
+        next_fast_len(oversample * (2 * d.n1 + 1)),
+        next_fast_len(oversample * (2 * d.n2 + 1)),
+        oversample * (2 * d.n3 + 1),
+    )
 
 
 def sup_norm(u: SpectralField, oversample: int = 4) -> float:
-    """sup |u| read off an oversampled grid (plane-synthesis evaluation)."""
-    d = u.domain
-    gx = next_fast_len(oversample * (2 * d.n1 + 1))
-    gy = next_fast_len(oversample * (2 * d.n2 + 1))
-    gz = max(oversample * (2 * d.n3 + 1), 1)
-    slabs = _slab_pos(u.coeffs, d, (gx, gy))
-    return _q_plane_eval(slabs, d.n3, (gx, gy), gz, power=None)
+    """sup |u| read off an oversampled grid."""
+    return float(np.sqrt(np.max(_grid_mag2(u, _oversampled_grid(u.domain, oversample)))))
 
 
-def lp_norm(u: SpectralField, p: float, oversample: int = 4, exact_quartic: bool = True) -> float:
+def lp_norm(u: SpectralField, p: float, oversample: int = 4) -> float:
     """||u||_p by grid quadrature.
 
-    Exact for p = 2 and (with the default padding) p = 4; other exponents
-    are approximations on the oversampled grid.
+    Exact for p = 2 and p = 4 (the quartic is integrated on a grid of at
+    least 4n + 2 points per axis); other exponents are approximations on the
+    oversampled grid.
     """
     d = u.domain
     if p == 2.0:
         return norm_l2(u)
     if np.isinf(p):
         return sup_norm(u, oversample)
-    if p == 4.0 and exact_quartic:
-        gx = next_fast_len(4 * d.n1 + 2)
-        gy = next_fast_len(4 * d.n2 + 2)
-        gz = 4 * d.n3 + 2
+    if p == 4.0:
+        grid = (next_fast_len(4 * d.n1 + 2), next_fast_len(4 * d.n2 + 2), 4 * d.n3 + 2)
     else:
-        gx = next_fast_len(oversample * (2 * d.n1 + 1))
-        gy = next_fast_len(oversample * (2 * d.n2 + 1))
-        gz = oversample * (2 * d.n3 + 1)
-    slabs = _slab_pos(u.coeffs, d, (gx, gy))
-    mean_pow = _q_plane_eval(slabs, d.n3, (gx, gy), gz, power=p)
-    return float((d.volume * mean_pow) ** (1.0 / p))
+        grid = _oversampled_grid(d, oversample)
+    mag2 = _grid_mag2(u, grid)
+    np.power(mag2, p / 2.0, out=mag2)
+    return float((d.volume * np.mean(mag2)) ** (1.0 / p))
 
 
 def _ratio_thin_sup(u: SpectralField, oversample: int) -> float:

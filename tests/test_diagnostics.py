@@ -184,6 +184,20 @@ class TestDiffInequalities:
                 assert r.passed, f"{regime}/{r.name}: {r.residual_max} > {r.slack}"
                 assert all(v >= 0 for v in r.fitted_constants.values())
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planar_run_passes_split_shear_at_one_vertical_mode(self, seed):
+        """With n3 = 1 the shear energy phi^2 - phi_2d^2 of a planar run is
+        pure roundoff of phi^2; its slack must be scaled to phi^2."""
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
+        u0 = sv.make_initial(d, "z-independent", u_target=0.08, seed=seed)
+        prof = sv.make_initial(d, "z-independent", u_target=1.0, seed=seed + 100)
+        f = sv.ForcingSpec.steady(prof, amplitude=0.02)
+        cfg = sv.SolverConfig(dt=0.002, t_end=0.04, scheme="etd-rk2", diag_stride=1)
+        series = sv.run(u0, f, cfg).series
+        for regime in dg.REGIMES:
+            for r in dg.check_diff_inequalities(series, eps=d.eps, regime=regime):
+                assert r.passed, f"{regime}/{r.name}: {r.residual_max} > {r.slack}"
+
     def test_term_peaks_reported(self):
         """The psi inequality's coupling term magnitudes appear per term."""
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=6, n2=6, n3=1)

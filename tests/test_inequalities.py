@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from thinflow import inequalities as iq
 from thinflow import spectral as sp
@@ -10,6 +11,46 @@ from thinflow import spectral as sp
 @pytest.fixture
 def thin_box():
     return sp.DomainSpec(l1=4.0, l2=4.0, eps=0.125, nu=1.0, n1=8, n2=8, n3=2)
+
+
+# (l1, l2, n1, n2, n3, oversample) for the grid-norm checks.  sup_norm grids:
+# 56x56x24 (even), 21x15x9 (odd), 36x54x20; lp_norm(4) grids: 15x15x6,
+# 15x10x6, 18x27x10.
+_NORM_BOXES = [
+    (1.0, 1.0, 3, 3, 1, 8),
+    (2.0, 1.0, 3, 2, 1, 3),
+    (1.5, 1.0, 4, 6, 2, 4),
+]
+_NORM_BOX_IDS = ["3x3x1", "3x2x1-l1>l2", "4x6x2"]
+_COMPONENTS = [(), (1,), (0, 2), (0, 1, 2)]
+_COMPONENT_IDS = ["zero", "1comp", "2comp", "3comp"]
+
+
+def _norm_field(rng, box, components):
+    """Random field on the box with only the listed velocity components kept."""
+    l1, l2, n1, n2, n3, oversample = box
+    d = sp.DomainSpec(l1=l1, l2=l2, eps=0.125, nu=1.0, n1=n1, n2=n2, n3=n3)
+    coeffs = np.zeros((3,) + d.shape, dtype=complex)
+    full = sp.random_field(d, rng).coeffs
+    for c in components:
+        coeffs[c] = full[c]
+    return sp.SpectralField(d, coeffs), oversample
+
+
+def _dense_samples(f, grid):
+    """All three components on the full 3D grid by a numpy.fft synthesis of every mode."""
+    d = f.domain
+    idx = np.ix_(
+        np.arange(-d.n1, d.n1 + 1) % grid[0],
+        np.arange(-d.n2, d.n2 + 1) % grid[1],
+        np.arange(-d.n3, d.n3 + 1) % grid[2],
+    )
+    out = np.empty((3,) + grid)
+    for c in range(3):
+        full = np.zeros(grid, dtype=complex)
+        full[idx] = f.coeffs[c]
+        out[c] = (np.fft.ifftn(full) * np.prod(grid)).real
+    return out
 
 
 class TestField2D:
@@ -122,24 +163,38 @@ class TestEstimators:
         assert np.max(np.abs(w.coeffs[..., thin_box.n3])) == 0.0
         assert est.reproduced_ratio() == pytest.approx(est.max_ratio, abs=1e-10)
 
-    def test_sup_norm_against_dense_grid(self, rng):
-        """Plane-synthesis evaluation equals brute force on the same grid."""
-        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=3, n2=3, n3=1)
-        f = sp.random_field(d, rng)
-        # oversample=8 -> x/y grid next_fast_len(56) = 56, z grid 24
-        direct = np.max(
-            np.sqrt(np.sum(sp.to_physical(f, (56, 56, 24)) ** 2, axis=0))
+    @pytest.mark.parametrize("components", _COMPONENTS, ids=_COMPONENT_IDS)
+    @pytest.mark.parametrize("box", _NORM_BOXES, ids=_NORM_BOX_IDS)
+    def test_sup_norm_against_dense_grid(self, rng, box, components):
+        """sup_norm equals brute force on the same oversampled grid."""
+        f, oversample = _norm_field(rng, box, components)
+        d = f.domain
+        grid = (
+            next_fast_len(oversample * (2 * d.n1 + 1)),
+            next_fast_len(oversample * (2 * d.n2 + 1)),
+            oversample * (2 * d.n3 + 1),
         )
-        assert iq.sup_norm(f, oversample=8) == pytest.approx(direct, rel=1e-12)
+        value = iq.sup_norm(f, oversample=oversample)
+        if not components:
+            assert value == 0.0
+            return
+        direct = np.max(np.sqrt(np.sum(_dense_samples(f, grid) ** 2, axis=0)))
+        assert value == pytest.approx(direct, rel=1e-12)
 
-    def test_lp_norm_quartic_exact(self, rng):
-        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=3, n2=3, n3=1)
-        f = sp.random_field(d, rng)
-        grid = (16, 16, 8)  # >= 4n+1 per axis: quartic quadrature is exact
-        phys = sp.to_physical(f, grid)
-        mag2 = np.sum(phys**2, axis=0)
+    @pytest.mark.parametrize("components", _COMPONENTS, ids=_COMPONENT_IDS)
+    @pytest.mark.parametrize("box", _NORM_BOXES, ids=_NORM_BOX_IDS)
+    def test_lp_norm_quartic_exact(self, rng, box, components):
+        """lp_norm(4) equals brute-force quadrature on a grid of >= 4n+1 points per axis."""
+        f, _ = _norm_field(rng, box, components)
+        d = f.domain
+        value = iq.lp_norm(f, 4.0)
+        if not components:
+            assert value == 0.0
+            return
+        grid = (4 * d.n1 + 1, 4 * d.n2 + 1, 4 * d.n3 + 1)
+        mag2 = np.sum(_dense_samples(f, grid) ** 2, axis=0)
         direct = (d.volume * np.mean(mag2**2)) ** 0.25
-        assert iq.lp_norm(f, 4.0) == pytest.approx(direct, rel=1e-12)
+        assert value == pytest.approx(direct, rel=1e-12)
 
 
 class TestScalingFit:
