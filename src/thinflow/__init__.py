@@ -13,7 +13,6 @@ cli            experiment orchestration (``thinflow`` entry point)
 from .spectral import (
     DomainSpec,
     SpectralField,
-    WaveVector,
     deriv,
     divergence_defect,
     h1_norm,

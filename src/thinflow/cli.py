@@ -454,22 +454,6 @@ class ExperimentConfig:
         self.scenario = scenario
         self.values = dict(values)
 
-    @classmethod
-    def load(
-        cls, scenario: str, path: str | None = None, overrides: dict[str, str] | None = None
-    ) -> "ExperimentConfig":
-        values: dict[str, str] = {}
-        if path is not None:
-            values.update(parse_config_file(path))
-        declared = values.pop("scenario", None)
-        if declared is not None and declared != scenario:
-            raise ConfigError(
-                f"config declares scenario={declared!r} but {scenario!r} was requested"
-            )
-        if overrides:
-            values.update({k: str(v) for k, v in overrides.items()})
-        return cls(scenario, values)
-
 
 def run_scenario(cfg: ExperimentConfig) -> int:
     """Execute a configured scenario; returns the process exit status."""

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import ifft2
 from scipy.optimize import linprog
 
 from .spectral import (
@@ -32,9 +31,11 @@ from .spectral import (
     divergence_defect,
     inner_l2,
     ksq_grid,
+    kvec_grids,
     load_checkpoint,
     norm_ds,
     norm_l2,
+    _synth,
 )
 
 __all__ = [
@@ -248,20 +249,6 @@ def _planar_slabs(u: SpectralField) -> np.ndarray:
     return u.coeffs[..., u.domain.n3]
 
 
-def _synth2d(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> np.ndarray:
-    m1 = np.arange(-d.n1, d.n1 + 1) % grid[0]
-    m2 = np.arange(-d.n2, d.n2 + 1) % grid[1]
-    full = np.zeros(slab.shape[:-2] + grid, dtype=np.complex128)
-    full[..., m1[:, None], m2[None, :]] = slab
-    return (ifft2(full, axes=(-2, -1), workers=1) * np.prod(grid)).real
-
-
-def _ksq2d(d: DomainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    k1 = (np.arange(-d.n1, d.n1 + 1) / d.l1).reshape(-1, 1)
-    k2 = (np.arange(-d.n2, d.n2 + 1) / d.l2).reshape(1, -1)
-    return k1, k2, k1 * k1 + k2 * k2
-
-
 def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = None) -> float:
     """Normalized quadrature of the planar cancellation integral.
 
@@ -279,12 +266,13 @@ def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = Non
     if grid is None:
         grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
     slab = _planar_slabs(r)[:2]
-    k1, k2, ksq = _ksq2d(d)
+    k1, k2 = (k[..., 0] for k in kvec_grids(d)[:2])
+    ksq = ksq_grid(d)[..., d.n3]
     two_pi_i = 2j * np.pi
-    lap = _synth2d(-((2 * np.pi) ** 2) * ksq * slab, d, grid)
-    rx = _synth2d(two_pi_i * k1 * slab, d, grid)
-    ry = _synth2d(two_pi_i * k2 * slab, d, grid)
-    rp = _synth2d(slab, d, grid)
+    lap = _synth(-((2 * np.pi) ** 2) * ksq * slab, grid)
+    rx = _synth(two_pi_i * k1 * slab, grid)
+    ry = _synth(two_pi_i * k2 * slab, grid)
+    rp = _synth(slab, grid)
     integrand = np.sum(lap * (rp[0] * rx + rp[1] * ry), axis=0)
     area = d.l1 * d.l2
     integral = area * float(np.mean(integrand))
@@ -315,12 +303,13 @@ def s_transport_residual(
         grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
     rslab = _planar_slabs(r)[:2]
     sslab = _planar_slabs(s)[2]
-    k1, k2, ksq = _ksq2d(d)
+    k1, k2 = (k[..., 0] for k in kvec_grids(d)[:2])
+    ksq = ksq_grid(d)[..., d.n3]
     two_pi_i = 2j * np.pi
-    lap_s = _synth2d(-((2 * np.pi) ** 2) * ksq * sslab, d, grid)
-    sx = _synth2d(two_pi_i * k1 * sslab, d, grid)
-    sy = _synth2d(two_pi_i * k2 * sslab, d, grid)
-    rp = _synth2d(rslab, d, grid)
+    lap_s = _synth(-((2 * np.pi) ** 2) * ksq * sslab, grid)
+    sx = _synth(two_pi_i * k1 * sslab, grid)
+    sy = _synth(two_pi_i * k2 * sslab, grid)
+    rp = _synth(rslab, grid)
     transport = rp[0] * sx + rp[1] * sy
     area = d.l1 * d.l2
     integral = area * float(np.mean(lap_s * transport))

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import ifft2, next_fast_len
@@ -35,8 +36,10 @@ from .spectral import (
     hermitian_symmetrize,
     ksq_grid,
     min_nonzero_k,
+    mode_range,
     norm_ds,
     norm_l2,
+    _synth,
 )
 
 __all__ = [
@@ -61,6 +64,16 @@ INEQUALITIES = ("thin-sup", "thin-l4", "planar-l4", "poincare", "hausdorff-young
 # 2D scalar fields (the planar-l4 inequality and the dyadic decomposition
 # live on the horizontal box alone).
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _planar_kmag(l1: float, l2: float, n1: int, n2: int) -> np.ndarray:
+    """|r| = sqrt(r1^2/l1^2 + r2^2/l2^2) over the planar mode box (read-only)."""
+    k1 = (mode_range(n1) / l1).reshape(-1, 1)
+    k2 = (mode_range(n2) / l2).reshape(1, -1)
+    kmag = np.sqrt(k1 * k1 + k2 * k2)
+    kmag.flags.writeable = False
+    return kmag
+
 
 class Field2D:
     """Immutable mean-zero scalar field on the horizontal periodic box."""
@@ -90,31 +103,20 @@ class Field2D:
     def area(self) -> float:
         return self.l1 * self.l2
 
-    def kmag(self) -> np.ndarray:
-        """|r| = sqrt(r1^2/l1^2 + r2^2/l2^2) over the mode box."""
-        k1 = (np.arange(-self.n1, self.n1 + 1) / self.l1).reshape(-1, 1)
-        k2 = (np.arange(-self.n2, self.n2 + 1) / self.l2).reshape(1, -1)
-        return np.sqrt(k1 * k1 + k2 * k2)
-
     def norm_l2(self) -> float:
         return float(np.sqrt(self.area * np.sum(np.abs(self.coeffs) ** 2)))
 
     def norm_ds(self, alpha: float) -> float:
-        mult = (2.0 * np.pi * self.kmag()) ** alpha
+        mult = (2.0 * np.pi * _planar_kmag(self.l1, self.l2, self.n1, self.n2)) ** alpha
         mult[self.n1, self.n2] = 0.0
         return float(np.sqrt(self.area * np.sum(mult**2 * np.abs(self.coeffs) ** 2)))
 
-    def samples(self, grid: tuple[int, int]) -> np.ndarray:
-        m1 = np.arange(-self.n1, self.n1 + 1) % grid[0]
-        m2 = np.arange(-self.n2, self.n2 + 1) % grid[1]
-        full = np.zeros(grid, dtype=np.complex128)
-        full[m1[:, None], m2[None, :]] = self.coeffs
-        return (ifft2(full, workers=1) * np.prod(grid)).real
-
     def norm_l4(self) -> float:
+        """Exact quadrature of the quartic on a grid of at least 4n + 2 points per axis."""
         grid = (next_fast_len(4 * self.n1 + 2), next_fast_len(4 * self.n2 + 2))
-        vals = self.samples(grid)
-        return float((self.area * np.mean(vals**4)) ** 0.25)
+        quartic = _synth(self.coeffs, grid) ** 2
+        quartic *= quartic
+        return float((self.area * np.mean(quartic)) ** 0.25)
 
     def embed(self, eps: float, nu: float = 1.0, n3: int = 1) -> SpectralField:
         """3D single-component embedding (for checkpointing a maximizer)."""
@@ -152,7 +154,7 @@ class DyadicProfile:
 
 def dyadic_decompose(f: Field2D) -> DyadicProfile:
     """Littlewood-Paley style block profile of a 2D mean-zero field."""
-    kmag = f.kmag()
+    kmag = _planar_kmag(f.l1, f.l2, f.n1, f.n2)
     abs2 = np.abs(f.coeffs) ** 2
     mask = kmag >= 1.0
     if not np.any(mask):
@@ -477,7 +479,7 @@ def estimate_constant(
     if inequality == "planar-l4":
         n1, n2 = domain.n1, domain.n2
         shape = (2 * n1 + 1, 2 * n2 + 1)
-        kmag = Field2D(domain.l1, domain.l2, n1, n2, np.zeros(shape)).kmag()
+        kmag = _planar_kmag(domain.l1, domain.l2, n1, n2)
         kmag_safe = np.where(kmag == 0, 1.0, kmag)
         # the single-mode floor first: it is also the analytic regression target
         single = np.zeros(shape, dtype=np.complex128)

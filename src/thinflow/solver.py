@@ -69,6 +69,9 @@ __all__ = [
 SCHEMES = ("etd-rk2", "etd-rk4", "imex-cn")
 
 _DIV_CONTRACT_TOL = 1e-8
+_CFL_SAFETY = 0.5
+_BLOWUP_THRESHOLD = 1e12
+_REPROJECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,9 +177,6 @@ class SolverConfig:
     diag_stride: int = 1
     checkpoint_stride: int = 0
     enforce_cfl: bool = True
-    cfl_safety: float = 0.5
-    blowup_threshold: float = 1e12
-    reproject_tol: float = 1e-12
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -231,7 +231,7 @@ def _advect_raw(coeffs: np.ndarray, spec: DomainSpec, grid: tuple[int, int, int]
     Equal to (u . grad u) for divergence-free u.  Two real FFT calls: one
     inverse of the 3 velocity components, one forward of the 6 products.
     """
-    u = _synth(coeffs, spec, grid)
+    u = _synth(coeffs, grid)
     prods = np.empty((len(_PAIRS),) + u.shape[1:])
     for q, (i, j) in enumerate(_PAIRS):
         np.multiply(u[i], u[j], out=prods[q])
@@ -281,16 +281,22 @@ class _Stepper:
         lam = -spec.nu * (2.0 * np.pi) ** 2 * np.asarray(ksq_grid(spec))
         z = lam * dt
         if scheme == "etd-rk2":
+            # phi_1(z) = (e^z - 1)/z and phi_2(z) = (e^z - 1 - z)/z^2
             self.E = np.exp(z)
-            self.p1 = dt * _phi_contour(z, 1)
-            self.p2 = dt * _phi_contour(z, 2)
+            self.p1 = dt * _contour_mean(lambda w: (np.exp(w) - 1.0) / w, z)
+            self.p2 = dt * _contour_mean(lambda w: (np.exp(w) - 1.0 - w) / w**2, z)
         elif scheme == "etd-rk4":
+            # half-step stage weight and the three Cox-Matthews update weights
             self.E = np.exp(z)
             self.E2 = np.exp(z / 2.0)
-            self.Q = dt * _phi_half_contour(z)
-            self.f1 = dt * _etdrk4_weight(z, 1)
-            self.f2 = dt * _etdrk4_weight(z, 2)
-            self.f3 = dt * _etdrk4_weight(z, 3)
+            self.Q = dt * _contour_mean(lambda w: (np.exp(w / 2.0) - 1.0) / w, z)
+            self.f1 = dt * _contour_mean(
+                lambda w: (-4.0 - w + (4.0 - 3.0 * w + w**2) * np.exp(w)) / w**3, z
+            )
+            self.f2 = dt * _contour_mean(lambda w: (2.0 + w + (w - 2.0) * np.exp(w)) / w**3, z)
+            self.f3 = dt * _contour_mean(
+                lambda w: (-4.0 - 3.0 * w - w**2 + (4.0 - w) * np.exp(w)) / w**3, z
+            )
         elif scheme == "imex-cn":
             self.cn_num = 1.0 + 0.5 * z
             self.cn_den = 1.0 / (1.0 - 0.5 * z)
@@ -325,42 +331,18 @@ class _Stepper:
         return out
 
 
-def _phi_contour(z: np.ndarray, order: int, n_points: int = 32) -> np.ndarray:
-    """phi_1(z) = (e^z - 1)/z and phi_2(z) = (e^z - 1 - z)/z^2 by contour mean.
+def _contour_mean(integrand, z: np.ndarray) -> np.ndarray:
+    """Value at each real z of an entire function, as its mean over a unit circle.
 
-    Evaluated as the average over a unit circle around each (real) z, which
-    is uniformly accurate including near z = 0.
+    integrand is evaluated on the whole array of contour points at once.  The
+    mean is uniformly accurate including near z = 0, where the closed forms
+    of the exponential-integrator weights cancel (Kassam & Trefethen 2005).
+    For real z the circle's lower half mirrors the upper half, so 32 points
+    on the upper half are sampled and the real part kept.
     """
-    theta = np.pi * (np.arange(n_points) + 0.5) / n_points
-    circ = np.exp(1j * theta)
-    zz = z[..., None] + circ
-    if order == 1:
-        vals = (np.exp(zz) - 1.0) / zz
-    else:
-        vals = (np.exp(zz) - 1.0 - zz) / zz**2
-    return vals.mean(axis=-1).real
-
-
-def _phi_half_contour(z: np.ndarray, n_points: int = 32) -> np.ndarray:
-    """(e^{z/2} - 1)/z averaged over the contour (half-step stage weight)."""
-    theta = np.pi * (np.arange(n_points) + 0.5) / n_points
-    circ = np.exp(1j * theta)
-    zz = z[..., None] + circ
-    return (((np.exp(zz / 2.0) - 1.0) / zz).mean(axis=-1)).real
-
-
-def _etdrk4_weight(z: np.ndarray, which: int, n_points: int = 32) -> np.ndarray:
-    theta = np.pi * (np.arange(n_points) + 0.5) / n_points
-    circ = np.exp(1j * theta)
-    zz = z[..., None] + circ
-    ez = np.exp(zz)
-    if which == 1:
-        vals = (-4.0 - zz + ez * (4.0 - 3.0 * zz + zz**2)) / zz**3
-    elif which == 2:
-        vals = (2.0 + zz + ez * (zz - 2.0)) / zz**3
-    else:
-        vals = (-4.0 - 3.0 * zz - zz**2 + ez * (4.0 - zz)) / zz**3
-    return vals.mean(axis=-1).real
+    theta = np.pi * (np.arange(32) + 0.5) / 32
+    zz = z[..., None] + np.exp(1j * theta)
+    return integrand(zz).mean(axis=-1).real
 
 
 _get_stepper = lru_cache(maxsize=32)(_Stepper)
@@ -386,26 +368,23 @@ def step(state: RunState, forcing: ForcingSpec | None, cfg: SolverConfig) -> Run
     """Advance one step of cfg.dt, preserving mean-zero and divergence-free."""
     stepper = _get_stepper(state.u.domain, cfg.dt, cfg.scheme)
     raw = stepper.advance(state.u.coeffs, state.t, forcing)
-    _check_blowup(raw, state.t + cfg.dt, state.step + 1, cfg.blowup_threshold)
+    _check_blowup(raw, state.t + cfg.dt, state.step + 1, _BLOWUP_THRESHOLD)
     u = SpectralField._wrap(state.u.domain, raw)
-    if divergence_defect(u) > cfg.reproject_tol:
+    if divergence_defect(u) > _REPROJECT_TOL:
         u = leray(u)
     return RunState(u=u, t=state.t + cfg.dt, step=state.step + 1)
 
 
-def cfl_estimate(
-    u: SpectralField, safety: float = 0.5, grid: tuple[int, int, int] | None = None
-) -> float:
-    """Advective step bound safety * min(grid spacing) / max |u|."""
+def cfl_estimate(u: SpectralField) -> float:
+    """Advective step bound 0.5 * min(grid spacing) / max |u| on the product grid."""
     d = u.domain
-    if grid is None:
-        grid = default_grid(d)
-    phys = _synth(u.coeffs, d, grid)
+    grid = default_grid(d)
+    phys = _synth(u.coeffs, grid)
     vmax = float(np.sqrt(np.max(np.sum(phys**2, axis=0))))
     h = min(d.l1 / grid[0], d.l2 / grid[1], d.eps / grid[2])
     if vmax == 0.0:
         return float("inf")
-    return safety * h / vmax
+    return _CFL_SAFETY * h / vmax
 
 
 def run(
@@ -424,7 +403,7 @@ def run(
     if defect > _DIV_CONTRACT_TOL:
         raise ValueError(f"initial data is not divergence-free (defect {defect:.3e})")
     if cfg.enforce_cfl:
-        bound = cfl_estimate(u0, cfg.cfl_safety)
+        bound = cfl_estimate(u0)
         if cfg.dt > bound:
             raise ValueError(
                 f"dt={cfg.dt} exceeds the advective bound {bound:.3e}; "

@@ -40,7 +40,6 @@ from scipy.fft import irfftn as ifftn, rfftn as fftn
 __all__ = [
     "DomainSpec",
     "SpectralField",
-    "WaveVector",
     "hermitian_symmetrize",
     "mode_range",
     "ksq_grid",
@@ -125,27 +124,6 @@ class DomainSpec:
 
     def same_geometry(self, other: "DomainSpec") -> bool:
         return self.lengths == other.lengths
-
-
-@dataclass(frozen=True)
-class WaveVector:
-    """A single Fourier mode (m, n, p) with its physical frequencies."""
-
-    m: int
-    n: int
-    p: int
-    l1: float
-    l2: float
-    eps: float
-
-    @property
-    def k(self) -> tuple[float, float, float]:
-        return (self.m / self.l1, self.n / self.l2, self.p / self.eps)
-
-    @property
-    def ksq(self) -> float:
-        k1, k2, k3 = self.k
-        return k1 * k1 + k2 * k2 + k3 * k3
 
 
 def mode_range(n: int) -> np.ndarray:
@@ -259,19 +237,6 @@ class SpectralField:
         if self.domain != other.domain:
             raise ValueError("fields live on different domains")
 
-    # Convenience wrappers around the module-level norms.
-    def norm_l2(self) -> float:
-        return norm_l2(self)
-
-    def norm_ds(self, alpha: float) -> float:
-        return norm_ds(self, alpha)
-
-    def h1(self) -> float:
-        return h1_norm(self)
-
-    def h2(self) -> float:
-        return h2_norm(self)
-
 
 def default_grid(spec: DomainSpec, factor: float = 1.5) -> tuple[int, int, int]:
     """Per-axis physical sample counts, fast FFT sizes >= factor * mode count.
@@ -309,16 +274,20 @@ def _check_grid(spec: DomainSpec, grid: tuple[int, int, int]) -> None:
         )
 
 
-def _synth(coeffs: np.ndarray, spec: DomainSpec, grid: tuple[int, int, int]) -> np.ndarray:
+def _synth(coeffs: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
     """Real samples of Hermitian coefficients on a uniform grid (one c2r call).
 
-    Only the p >= 0 half of the mode box is read; c2r implies the rest.
+    The last len(grid) axes of coeffs are mode axes -n .. n: three for a
+    mode box, two for a planar slab.  Only the nonnegative half of the last
+    mode axis is read; c2r implies the rest.
     """
-    b1 = _fft_bins(spec.n1, grid[0])
-    b2 = _fft_bins(spec.n2, grid[1])
-    half = np.zeros(coeffs.shape[:-3] + (grid[0], grid[1], grid[2] // 2 + 1), dtype=np.complex128)
-    half[..., b1[:, None], b2, : spec.n3 + 1] = coeffs[..., spec.n3 :]
-    return ifftn(half, s=grid, axes=(-3, -2, -1), norm="forward", workers=1)
+    nd = len(grid)
+    n = [m // 2 for m in coeffs.shape[-nd:]]
+    bins = np.ix_(*(_fft_bins(ni, g) for ni, g in zip(n[:-1], grid[:-1])))
+    shape = coeffs.shape[:-nd] + tuple(grid[:-1]) + (grid[-1] // 2 + 1,)
+    half = np.zeros(shape, dtype=np.complex128)
+    half[(..., *bins, slice(n[-1] + 1))] = coeffs[..., n[-1] :]
+    return ifftn(half, s=grid, axes=tuple(range(-nd, 0)), norm="forward", workers=1)
 
 
 def _analyze(samples: np.ndarray, spec: DomainSpec) -> np.ndarray:
@@ -352,7 +321,7 @@ def to_physical(f: SpectralField, grid: tuple[int, int, int] | None = None) -> n
         grid = default_grid(f.domain)
     grid = tuple(int(g) for g in grid)
     _check_grid(f.domain, grid)
-    return _synth(f.coeffs, f.domain, grid)
+    return _synth(f.coeffs, grid)
 
 
 def to_spectral(samples: np.ndarray, domain: DomainSpec) -> SpectralField:

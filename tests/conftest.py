@@ -1,7 +1,13 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from thinflow.diagnostics import DiagnosticSeries
 from thinflow.spectral import DomainSpec
+
+REFERENCE_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -17,3 +23,18 @@ def thin_domain() -> DomainSpec:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def assert_matches_reference():
+    """Check a diagnostics series against tests/data/<name>.csv, every column to rtol 1e-10."""
+
+    def check(series: DiagnosticSeries, name: str) -> None:
+        ref = DiagnosticSeries.from_csv(REFERENCE_DIR / f"{name}.csv")
+        for col in fields(DiagnosticSeries):
+            np.testing.assert_allclose(
+                getattr(series, col.name), getattr(ref, col.name), rtol=1e-10, atol=0.0,
+                err_msg=f"{name}: column {col.name}",
+            )
+
+    return check

@@ -377,3 +377,9 @@ def test_criterion_12_h2_integral_stability(trajectories, closure_run):
     ok &= np.isfinite(i1) and change <= 0.02
     details.append(f"closure: {i1:.4g} ({100 * change:.3f}%)")
     report(12, ok, "h2-square integrals stable under dt halving: " + "; ".join(details))
+
+
+def test_trajectories_match_references(trajectories, assert_matches_reference):
+    """The shared trajectories reproduce the stored reference CSVs in tests/data/."""
+    for traj in trajectories:
+        assert_matches_reference(traj["series"], f"acceptance-{traj['name']}")

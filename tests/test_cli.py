@@ -285,21 +285,15 @@ class TestRescaleAndThresholds:
 
 class TestRunScenarioApi:
     def test_load_and_run(self, planar_cfg, tmp_path):
-        cfg = cli.ExperimentConfig.load(
-            "simulate", path=planar_cfg, overrides={"out": str(tmp_path / "api"), "t_end": 0.02}
-        )
+        values = cli.parse_config_file(planar_cfg)
+        values.update(out=str(tmp_path / "api"), t_end="0.02")
+        cfg = cli.ExperimentConfig("simulate", values)
         assert cli.run_scenario(cfg) == cli.EXIT_OK
         assert (tmp_path / "api" / "diagnostics.csv").exists()
 
     def test_unknown_scenario(self):
         with pytest.raises(cli.ConfigError, match="scenario"):
             cli.ExperimentConfig("render", {})
-
-    def test_scenario_declaration_mismatch(self, tmp_path):
-        path = tmp_path / "x.cfg"
-        path.write_text("scenario=sweep\n")
-        with pytest.raises(cli.ConfigError, match="scenario"):
-            cli.ExperimentConfig.load("simulate", path=str(path))
 
 
 class TestEntryPoint:

@@ -40,11 +40,6 @@ class TestDomainSpec:
         # smallest frequency sits on the longest axis
         assert sp.min_nonzero_k(thin_domain) == pytest.approx(1.0 / 1.5)
 
-    def test_wavevector(self):
-        wv = sp.WaveVector(m=1, n=2, p=1, l1=2.0, l2=1.0, eps=0.1)
-        assert wv.k == (0.5, 2.0, 10.0)
-        assert wv.ksq == pytest.approx(0.25 + 4.0 + 100.0)
-
 
 class TestFieldConstruction:
     def test_rejects_wrong_shape(self, small_domain):
