@@ -15,6 +15,13 @@ nonlinear evaluation costs two real FFT calls: an inverse of the three
 velocity components and a forward of the six products.  Both transforms
 return exactly Hermitian coefficients and every linear factor is even in k,
 so steps need no re-symmetrization.
+
+When every p != 0 coefficient of u is exactly zero (no tolerance), u is
+z-independent, so are its products, and the d/dz term vanishes: both calls
+then run on the (x, y) part of the padded grid over the p = 0 slab, which is
+alias-free for the same reason.  The result has exactly zero p != 0 modes,
+and the linear factors are diagonal, so planar data with planar forcing
+stays planar and every later evaluation takes the slab path too.
 """
 
 from __future__ import annotations
@@ -225,18 +232,32 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _ROWS = ([0, 3, 4], [3, 1, 5], [4, 5, 2])
 
 
+def _product_coeffs(u: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """Retained coefficients of the six products u_i u_j of velocity samples."""
+    prods = np.empty((len(_PAIRS),) + u.shape[1:])
+    for q, (i, j) in enumerate(_PAIRS):
+        np.multiply(u[i], u[j], out=prods[q])
+    return _analyze(prods, modes)
+
+
 def _advect_raw(coeffs: np.ndarray, spec: DomainSpec, grid: tuple[int, int, int]) -> np.ndarray:
     """div(u u) coefficients on the mode box via padded-grid products.
 
     Equal to (u . grad u) for divergence-free u.  Two real FFT calls: one
     inverse of the 3 velocity components, one forward of the 6 products.
+    When every p > 0 coefficient (the half the synthesis reads) is exactly
+    zero, u is z-independent: both calls then run on the p = 0 slab, and
+    the result is that slab's div(u u) in the p = 0 plane of a zero box.
     """
-    u = _synth(coeffs, grid)
-    prods = np.empty((len(_PAIRS),) + u.shape[1:])
-    for q, (i, j) in enumerate(_PAIRS):
-        np.multiply(u[i], u[j], out=prods[q])
-    uu = _analyze(prods, spec)
+    n1, n2, n3 = spec.n1, spec.n2, spec.n3
     k1, k2, k3 = kvec_grids(spec)
+    if not coeffs[..., n3 + 1 :].any():
+        uu = _product_coeffs(_synth(coeffs[..., n3], grid[:2]), (n1, n2))
+        out = np.zeros((3,) + spec.shape, dtype=np.complex128)
+        out[..., n3] = k1[..., 0] * uu[_ROWS[0]] + k2[..., 0] * uu[_ROWS[1]]
+        out[..., n3] *= 2j * np.pi
+        return out
+    uu = _product_coeffs(_synth(coeffs, grid), (n1, n2, n3))
     out = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]] + k3 * uu[_ROWS[2]]
     out *= 2j * np.pi
     return out

@@ -262,8 +262,18 @@ def grid_coords(
     return x, y, z
 
 
-def _fft_bins(n: int, size: int) -> np.ndarray:
-    return np.asarray(mode_range(n) % size)
+@lru_cache(maxsize=64)
+def _half_index(modes: tuple[int, ...], grid: tuple[int, ...]) -> tuple:
+    """Index of the retained nonnegative-last-axis half box in a c2r/r2c half spectrum.
+
+    modes are the per-axis cutoffs n (mode indices -n .. n) and grid the
+    sample counts, both over the same two or three trailing axes.  Cached,
+    with read-only index arrays.
+    """
+    bins = np.ix_(*(mode_range(n) % g for n, g in zip(modes[:-1], grid[:-1])))
+    for b in bins:
+        b.flags.writeable = False
+    return (Ellipsis, *bins, slice(modes[-1] + 1))
 
 
 def _check_grid(spec: DomainSpec, grid: tuple[int, int, int]) -> None:
@@ -282,31 +292,33 @@ def _synth(coeffs: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
     mode axis is read; c2r implies the rest.
     """
     nd = len(grid)
-    n = [m // 2 for m in coeffs.shape[-nd:]]
-    bins = np.ix_(*(_fft_bins(ni, g) for ni, g in zip(n[:-1], grid[:-1])))
+    n = tuple(m // 2 for m in coeffs.shape[-nd:])
     shape = coeffs.shape[:-nd] + tuple(grid[:-1]) + (grid[-1] // 2 + 1,)
     half = np.zeros(shape, dtype=np.complex128)
-    half[(..., *bins, slice(n[-1] + 1))] = coeffs[..., n[-1] :]
+    half[_half_index(n, tuple(grid))] = coeffs[..., n[-1] :]
     return ifftn(half, s=grid, axes=tuple(range(-nd, 0)), norm="forward", workers=1)
 
 
-def _analyze(samples: np.ndarray, spec: DomainSpec) -> np.ndarray:
+def _analyze(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
     """Exactly Hermitian retained-mode coefficients of real samples (one r2c call).
 
-    The p >= 0 half is read from the transform, the p = 0 plane is
-    symmetrized and p < 0 is filled by conjugate mirror.
+    modes holds the cutoffs (n1, n2, n3) of a mode box or (n1, n2) of a
+    planar slab; the last len(modes) axes of samples are grid axes.  The
+    nonnegative half of the last mode axis is read from the transform, its
+    zero plane is symmetrized and the negative half is filled by conjugate
+    mirror.  The planar form is what the solver's slab path uses for fields
+    whose p != 0 coefficients are all exactly zero.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    grid = samples.shape[-3:]
-    n3 = spec.n3
-    half = fftn(samples, axes=(-3, -2, -1), norm="forward", workers=1)
-    b1 = _fft_bins(spec.n1, grid[0])
-    b2 = _fft_bins(spec.n2, grid[1])
-    out = np.empty(samples.shape[:-3] + spec.shape, dtype=np.complex128)
-    out[..., n3:] = half[..., b1[:, None], b2, : n3 + 1]
-    plane = out[..., n3]
-    plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=(-2, -1))))
-    out[..., :n3] = np.conj(np.flip(out[..., n3 + 1 :], axis=(-3, -2, -1)))
+    nd = len(modes)
+    axes = tuple(range(-nd, 0))
+    last = modes[-1]
+    half = fftn(samples, axes=axes, norm="forward", workers=1)
+    out = np.empty(samples.shape[:-nd] + tuple(2 * n + 1 for n in modes), dtype=np.complex128)
+    out[..., last:] = half[_half_index(modes, samples.shape[-nd:])]
+    plane = out[..., last]
+    plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=axes[1:])))
+    out[..., :last] = np.conj(np.flip(out[..., last + 1 :], axis=axes))
     return out
 
 
@@ -330,7 +342,7 @@ def to_spectral(samples: np.ndarray, domain: DomainSpec) -> SpectralField:
     if samples.ndim != 4 or samples.shape[0] != 3:
         raise ValueError("samples must have shape (3, N1, N2, N3)")
     _check_grid(domain, samples.shape[1:])
-    return SpectralField._wrap(domain, _analyze(samples, domain))
+    return SpectralField._wrap(domain, _analyze(samples, (domain.n1, domain.n2, domain.n3)))
 
 
 def _ds_multiplier(spec: DomainSpec, alpha: float) -> np.ndarray:
@@ -373,10 +385,18 @@ def h2_norm(f: SpectralField) -> float:
     return float(np.sqrt(norm_l2(f) ** 2 + norm_ds(f, 1.0) ** 2 + norm_ds(f, 2.0) ** 2))
 
 
+@lru_cache(maxsize=64)
+def _ksq_divisor(spec: DomainSpec) -> np.ndarray:
+    """|k|^2 with the zero mode set to 1 (that mode of a field is zero anyway)."""
+    ksq = ksq_grid(spec).copy()
+    ksq[spec.n1, spec.n2, spec.n3] = 1.0
+    ksq.flags.writeable = False
+    return ksq
+
+
 def _leray_raw(coeffs: np.ndarray, spec: DomainSpec) -> np.ndarray:
     k1, k2, k3 = kvec_grids(spec)
-    ksq = ksq_grid(spec).copy()
-    ksq[spec.n1, spec.n2, spec.n3] = 1.0  # zero mode is zero anyway
+    ksq = _ksq_divisor(spec)
     kdotu = k1 * coeffs[0] + k2 * coeffs[1] + k3 * coeffs[2]
     s = kdotu / ksq
     out = coeffs.copy()

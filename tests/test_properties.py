@@ -69,6 +69,26 @@ def test_synthesis_matches_c2c(modes, pad, components, seed):
     assert np.max(np.abs(got - ref.real)) <= 1e-12 * scale
 
 
+@drawn
+@given(
+    modes=st.lists(st.integers(1, 5), min_size=2, max_size=3),
+    pad=st.lists(st.integers(0, 7), min_size=3, max_size=3),
+    components=st.integers(0, 2),
+    seed=seeds,
+)
+def test_analysis_inverts_synthesis(modes, pad, components, seed):
+    """_analyze after _synth on two or three axes returns the coefficients, exactly Hermitian."""
+    nd = len(modes)
+    grid = tuple(2 * n + 1 + p for n, p in zip(modes, pad))
+    lead = (components,) if components else ()
+    coeffs = hermitian(np.random.default_rng(seed), lead + tuple(2 * n + 1 for n in modes), nd)
+    back = sp._analyze(sp._synth(coeffs, grid), tuple(modes))
+    axes = tuple(range(-nd, 0))
+    assert back.shape == coeffs.shape
+    assert np.array_equal(back, np.conj(np.flip(back, axis=axes)))
+    assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+
+
 def _taylor(z: np.ndarray, k: int) -> np.ndarray:
     """phi_k(z) = sum_j z^j / (j + k)!, converged to roundoff for |z| < 1."""
     return sum(z**j / math.factorial(j + k) for j in range(25))
@@ -116,10 +136,12 @@ def test_contour_weights_match_closed_forms(domain, dt):
 @drawn
 @given(domain=domains(), seed=seeds)
 def test_advection_is_energy_neutral(domain, seed):
+    """<N(u), u> = 0 for a 3D field and for its z-independent part (which keeps u3)."""
     u = sp.leray(sp.random_field(domain, np.random.default_rng(seed), slope=-1.0))
-    nl = sv.nonlinear_term(u)
-    scale = sp.norm_l2(u) * sp.norm_l2(nl)
-    assert abs(sp.inner_l2(u, nl)) <= 1e-13 * max(scale, 1e-300)
+    for v in (u, sp.proj_p(u)):
+        nl = sv.nonlinear_term(v)
+        scale = sp.norm_l2(v) * sp.norm_l2(nl)
+        assert abs(sp.inner_l2(v, nl)) <= 1e-13 * max(scale, 1e-300)
 
 
 @drawn

@@ -3,7 +3,9 @@
 The reference for the nonlinear term is the advective form u . grad u,
 computed here with full complex numpy.fft transforms on the same padded grid.
 The domains cover odd and even grid sizes on every axis, n3 = 1, l1 > l2 and
-n1 != n2.
+n1 != n2.  Velocities are drawn both fully 3D and z-independent (with a
+nonzero vertical component): the solver computes the nonlinear term of a
+z-independent field from the p = 0 slab alone.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ DOMAINS = [
     sp.DomainSpec(l1=2.0, l2=1.0, eps=0.1, nu=1.0, n1=6, n2=4, n3=3),
 ]
 IDS = ["8x8x2", "5x7x1", "6x4x3"]
+KINDS = ("random-divfree", "z-independent")
 
 
 def is_hermitian(c: np.ndarray) -> bool:
@@ -51,17 +54,19 @@ def advective_reference(u: sp.SpectralField) -> np.ndarray:
     return out
 
 
-def velocity(d: sp.DomainSpec, seed: int = 5) -> sp.SpectralField:
-    return sv.make_initial(d, "random-divfree", u_target=1.0, seed=seed)
+def velocity(d: sp.DomainSpec, seed: int = 5, kind: str = "random-divfree") -> sp.SpectralField:
+    return sv.make_initial(d, kind, u_target=1.0, seed=seed)
 
 
 @pytest.mark.parametrize("d", DOMAINS, ids=IDS)
 class TestTransformPair:
     def test_nonlinear_term_matches_advective_form(self, d):
-        u = velocity(d)
-        got = sv.nonlinear_term(u).coeffs
-        ref = advective_reference(u)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for kind in KINDS:
+            u = velocity(d, kind=kind)
+            assert np.max(np.abs(u.coeffs[2])) > 0.0
+            got = sv.nonlinear_term(u).coeffs
+            ref = advective_reference(u)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), kind
 
     def test_to_spectral_exactly_hermitian(self, d):
         rng = np.random.default_rng(11)
@@ -69,7 +74,8 @@ class TestTransformPair:
         assert is_hermitian(f.coeffs)
 
     def test_nonlinear_term_exactly_hermitian(self, d):
-        assert is_hermitian(sv.nonlinear_term(velocity(d)).coeffs)
+        for kind in KINDS:
+            assert is_hermitian(sv.nonlinear_term(velocity(d, kind=kind)).coeffs), kind
 
     @pytest.mark.parametrize("scheme", sv.SCHEMES)
     def test_step_exactly_hermitian(self, d, scheme):
@@ -87,5 +93,49 @@ class TestTransformPair:
     def test_planar_data_stays_planar(self, d):
         u = sv.make_initial(d, "z-independent", u_target=1.0, seed=7)
         nl = sv.nonlinear_term(u).coeffs
-        off_plane = np.delete(nl, d.n3, axis=-1)
-        assert np.max(np.abs(off_plane)) <= 1e-14 * np.max(np.abs(nl))
+        assert np.max(np.abs(nl)) > 0.0
+        assert not np.delete(nl, d.n3, axis=-1).any()
+
+
+def synthesis_dims(monkeypatch) -> list[int]:
+    """Record the number of transformed axes of every c2r call, as a tracer would."""
+    dims = []
+    inner = sp.ifftn
+
+    def traced(x, s, **kwargs):
+        dims.append(len(s))
+        return inner(x, s, **kwargs)
+
+    monkeypatch.setattr(sp, "ifftn", traced)
+    return dims
+
+
+def test_planar_fields_take_the_slab_path(monkeypatch):
+    """Only exactly z-independent input runs the 2D transforms; one subnormal p != 0 mode does not."""
+    d = DOMAINS[1]
+    u = velocity(d, kind="z-independent")
+    dims = synthesis_dims(monkeypatch)
+    sv.nonlinear_term(u)
+    assert dims == [2]
+
+    c = u.coeffs.copy()
+    # the (0, 0, +-1) mode of u1 is orthogonal to its k, so u stays divergence-free
+    c[0, d.n1, d.n2, d.n3 + 1] = c[0, d.n1, d.n2, d.n3 - 1] = 5e-324
+    tiny = sp.SpectralField(d, c)
+    assert tiny.coeffs[0, d.n1, d.n2, d.n3 + 1] == 5e-324
+    dims.clear()
+    sv.nonlinear_term(tiny)
+    assert dims == [3]
+
+
+def test_planar_data_with_3d_forcing_leaves_the_slab_path(monkeypatch):
+    """Only the first evaluation, on the planar u0 itself, is 2D; the forcing makes every later one 3D."""
+    d = DOMAINS[1]
+    profile = velocity(d, seed=9)
+    forcing = sv.ForcingSpec.steady(profile, amplitude=0.5)
+    cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, scheme="etd-rk2")
+    state = sv.RunState(u=velocity(d, kind="z-independent"), t=0.0, step=0)
+    dims = synthesis_dims(monkeypatch)
+    for _ in range(3):
+        state = sv.step(state, forcing, cfg)
+    assert dims == [2, 3] + [3, 3] * 2
