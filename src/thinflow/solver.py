@@ -11,17 +11,23 @@ Advection is computed in divergence form, div(u u), which equals u . grad u
 pointwise for divergence-free band-limited fields.  The six distinct
 products u_i u_j are formed on a padded grid, so the convolution is exact on
 the retained band and advection stays energy-neutral to roundoff.  One
-nonlinear evaluation costs two real FFT calls: an inverse of the three
-velocity components and a forward of the six products.  Both transforms
-return exactly Hermitian coefficients and every linear factor is even in k,
-so steps need no re-symmetrization.
+nonlinear evaluation costs one synthesis of the three velocity components
+and one analysis of the six products, each a c2c transform over (x, y) of
+the n3 + 1 planes p >= 0 plus a real transform along z.
+
+A step works on the p >= 0 half box throughout: the linear factors are
+built there, and advection, the Leray projection and the stage updates run
+there.  The transforms keep the half exactly Hermitian on its p = 0 plane
+and every linear factor is even in k, so steps need no re-symmetrization:
+the full box of the new field is the half's conjugate mirror, formed once.
 
 When every p != 0 coefficient of u is exactly zero (no tolerance), u is
-z-independent, so are its products, and the d/dz term vanishes: both calls
-then run on the (x, y) part of the padded grid over the p = 0 slab, which is
-alias-free for the same reason.  The result has exactly zero p != 0 modes,
-and the linear factors are diagonal, so planar data with planar forcing
-stays planar and every later evaluation takes the slab path too.
+z-independent, so are its products, and the d/dz term vanishes: both
+transforms then run on the (x, y) part of the padded grid over the p = 0
+slab, which is alias-free for the same reason, and only that plane is
+projected.  The result has exactly zero p != 0 modes, and the linear factors
+are diagonal, so planar data with planar forcing stays planar and every
+later evaluation takes the slab path too.
 """
 
 from __future__ import annotations
@@ -50,8 +56,12 @@ from .spectral import (
     save_checkpoint,
     to_spectral,
     _analyze,
+    _analyze_half,
+    _divergence_defect,
     _leray_raw,
+    _mirror,
     _synth,
+    _synth_half,
 )
 
 __all__ = [
@@ -163,10 +173,11 @@ class ForcingSpec:
         return norm_l2(self.profile) * abs(self.modulation.value(t))
 
     def _raw(self, t: float) -> np.ndarray | None:
+        """The p >= 0 half box of value(t), or None when it is zero."""
         a = self.modulation.value(t)
         if a == 0.0:
             return None
-        return self.profile.coeffs * a
+        return self.profile.coeffs[..., self.profile.domain.n3 :] * a
 
 
 @dataclass(frozen=True)
@@ -232,35 +243,12 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _ROWS = ([0, 3, 4], [3, 1, 5], [4, 5, 2])
 
 
-def _product_coeffs(u: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
-    """Retained coefficients of the six products u_i u_j of velocity samples."""
+def _products(u: np.ndarray) -> np.ndarray:
+    """The six products u_i u_j of velocity samples, in _PAIRS order."""
     prods = np.empty((len(_PAIRS),) + u.shape[1:])
     for q, (i, j) in enumerate(_PAIRS):
         np.multiply(u[i], u[j], out=prods[q])
-    return _analyze(prods, modes)
-
-
-def _advect_raw(coeffs: np.ndarray, spec: DomainSpec, grid: tuple[int, int, int]) -> np.ndarray:
-    """div(u u) coefficients on the mode box via padded-grid products.
-
-    Equal to (u . grad u) for divergence-free u.  Two real FFT calls: one
-    inverse of the 3 velocity components, one forward of the 6 products.
-    When every p > 0 coefficient (the half the synthesis reads) is exactly
-    zero, u is z-independent: both calls then run on the p = 0 slab, and
-    the result is that slab's div(u u) in the p = 0 plane of a zero box.
-    """
-    n1, n2, n3 = spec.n1, spec.n2, spec.n3
-    k1, k2, k3 = kvec_grids(spec)
-    if not coeffs[..., n3 + 1 :].any():
-        uu = _product_coeffs(_synth(coeffs[..., n3], grid[:2]), (n1, n2))
-        out = np.zeros((3,) + spec.shape, dtype=np.complex128)
-        out[..., n3] = k1[..., 0] * uu[_ROWS[0]] + k2[..., 0] * uu[_ROWS[1]]
-        out[..., n3] *= 2j * np.pi
-        return out
-    uu = _product_coeffs(_synth(coeffs, grid), (n1, n2, n3))
-    out = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]] + k3 * uu[_ROWS[2]]
-    out *= 2j * np.pi
-    return out
+    return prods
 
 
 def _nonlinear_raw(
@@ -269,10 +257,29 @@ def _nonlinear_raw(
     grid: tuple[int, int, int],
     f_raw: np.ndarray | None,
 ) -> np.ndarray:
-    out = -_leray_raw(_advect_raw(coeffs, spec, grid), spec)
+    """-L div(u u) + f on the p >= 0 half box, from u's half box coeffs.
+
+    div(u u) equals (u . grad u) for divergence-free u.  One synthesis of
+    the 3 velocity components, one analysis of the 6 products.  When every
+    p > 0 coefficient is exactly zero, u is z-independent: both then run on
+    the p = 0 slab, and only that plane of the result is nonzero and
+    projected.
+    """
+    n1, n2, n3 = spec.n1, spec.n2, spec.n3
+    k1, k2, k3 = kvec_grids(spec)
+    if not coeffs[..., 1:].any():
+        # the p = 0 plane, shaped as a half box of one plane
+        uu = _analyze(_products(_synth(coeffs[..., 0], grid[:2])), (n1, n2))[..., None]
+        adv = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]]
+    else:
+        uu = _analyze_half(_products(_synth_half(coeffs, grid)), (n1, n2, n3))
+        adv = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]] + k3[..., n3:] * uu[_ROWS[2]]
+    adv *= 2j * np.pi
+    out = np.zeros(coeffs.shape, dtype=np.complex128)
+    np.negative(_leray_raw(adv, spec), out=out[..., : adv.shape[-1]])
     if f_raw is not None:
         out += f_raw
-    out[:, spec.n1, spec.n2, spec.n3] = 0.0
+    out[:, n1, n2, 0] = 0.0
     return out
 
 
@@ -288,18 +295,19 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
             f"nonlinear_term requires a divergence-free field (defect {defect:.3e})"
         )
     spec = u.domain
-    return SpectralField._wrap(spec, _nonlinear_raw(u.coeffs, spec, default_grid(spec), None))
+    half = _nonlinear_raw(u.coeffs[..., spec.n3 :], spec, default_grid(spec), None)
+    return SpectralField._wrap(spec, _mirror(half))
 
 
 class _Stepper:
-    """Precomputed exponential/implicit factors for one (domain, dt, scheme)."""
+    """Exponential/implicit factors for one (domain, dt, scheme), on the p >= 0 half box."""
 
     def __init__(self, spec: DomainSpec, dt: float, scheme: str):
         self.spec = spec
         self.dt = dt
         self.scheme = scheme
         self.grid = default_grid(spec)
-        lam = -spec.nu * (2.0 * np.pi) ** 2 * np.asarray(ksq_grid(spec))
+        lam = -spec.nu * (2.0 * np.pi) ** 2 * ksq_grid(spec)[..., spec.n3 :]
         z = lam * dt
         if scheme == "etd-rk2":
             # phi_1(z) = (e^z - 1)/z and phi_2(z) = (e^z - 1 - z)/z^2
@@ -369,10 +377,12 @@ def _contour_mean(integrand, z: np.ndarray) -> np.ndarray:
 _get_stepper = lru_cache(maxsize=32)(_Stepper)
 
 
-def _check_blowup(coeffs: np.ndarray, t: float, step_no: int, threshold: float) -> None:
-    max_coeff = float(np.max(np.abs(coeffs)))
+def _check_blowup(half: np.ndarray, t: float, step_no: int, threshold: float) -> None:
+    """Raise BlowUpError, with a report on the full box, unless the half box is finite and bounded."""
+    max_coeff = float(np.max(np.abs(half)))
     if np.isfinite(max_coeff) and max_coeff <= threshold:
         return
+    coeffs = _mirror(half)
     finite = np.nan_to_num(coeffs, nan=0.0, posinf=0.0, neginf=0.0)
     raise BlowUpError(
         {
@@ -387,11 +397,15 @@ def _check_blowup(coeffs: np.ndarray, t: float, step_no: int, threshold: float) 
 
 def step(state: RunState, forcing: ForcingSpec | None, cfg: SolverConfig) -> RunState:
     """Advance one step of cfg.dt, preserving mean-zero and divergence-free."""
-    stepper = _get_stepper(state.u.domain, cfg.dt, cfg.scheme)
-    raw = stepper.advance(state.u.coeffs, state.t, forcing)
-    _check_blowup(raw, state.t + cfg.dt, state.step + 1, _BLOWUP_THRESHOLD)
-    u = SpectralField._wrap(state.u.domain, raw)
-    if divergence_defect(u) > _REPROJECT_TOL:
+    spec = state.u.domain
+    stepper = _get_stepper(spec, cfg.dt, cfg.scheme)
+    # contiguous, because numpy's elementwise loops over the strided view are slow on small boxes
+    half = np.ascontiguousarray(state.u.coeffs[..., spec.n3 :])
+    half = stepper.advance(half, state.t, forcing)
+    _check_blowup(half, state.t + cfg.dt, state.step + 1, _BLOWUP_THRESHOLD)
+    reproject = _divergence_defect(half, spec) > _REPROJECT_TOL
+    u = SpectralField._wrap(spec, _mirror(half))
+    if reproject:
         u = leray(u)
     return RunState(u=u, t=state.t + cfg.dt, step=state.step + 1)
 

@@ -11,11 +11,14 @@ Real-valuedness is the Hermitian symmetry c(-m,-n,-p) = conj(c(m,n,p)).
 Coefficients from outside (a SpectralField built from a user array or a
 checkpoint) are symmetrized and verified at construction, because silent
 drift would make fields complex.  Internal transforms need no such repair:
-physical samples come from one real-to-complex transform pair that reads and
-writes only the p >= 0 half of the mode box and fills p < 0 by conjugate
-mirror, so every box it returns is exactly Hermitian, and the diagonal
-operators applied afterwards keep it so.  The (0,0,0) mode is structurally
-pinned to zero: all fields live in the mean-free reduction.
+the one real transform pair works on the p >= 0 half box c[..., n3:], which
+determines the rest.  Synthesis embeds its n3 + 1 planes, transforms them
+over (x, y) and finishes with a c2r along z; analysis runs an r2c along z,
+keeps n3 + 1 planes, transforms only those over (x, y) and symmetrizes the
+p = 0 plane.  Diagonal operators keep that half exactly Hermitian on its
+p = 0 plane, so the full box is its conjugate mirror, formed once where a
+field is made.  The (0,0,0) mode is structurally pinned to zero: all fields
+live in the mean-free reduction.
 
 Physical frequencies are k = (m/l1, n/l2, p/eps).  The fractional derivative
 D^alpha acts as the real multiplier (2 pi |k|)^alpha; every use downstream is
@@ -26,16 +29,18 @@ dropped deliberately.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len
 
-# The pair calls the real transforms through these module names, so a caller
-# can wrap them per call (perfbench/tracing.py counts FFTs this way).  They run
-# on one thread: no measured size cut shows more workers winning on a shared host.
-from scipy.fft import irfftn as ifftn, rfftn as fftn
+# The pair calls its transforms through these module names, so a caller can
+# wrap them per call (perfbench/tracing.py counts the c2c calls ifftn/fftn over
+# the leading grid axes this way).  They run on one thread: no measured size
+# cut shows more workers winning on a shared host.
+from scipy.fft import fftn, ifftn, irfft, rfft
 
 __all__ = [
     "DomainSpec",
@@ -263,17 +268,15 @@ def grid_coords(
 
 
 @lru_cache(maxsize=64)
-def _half_index(modes: tuple[int, ...], grid: tuple[int, ...]) -> tuple:
-    """Index of the retained nonnegative-last-axis half box in a c2r/r2c half spectrum.
+def _bins(modes: tuple[int, ...], grid: tuple[int, ...]) -> tuple:
+    """Index of modes -n .. n in FFT order on the given grid axes, then the whole last axis.
 
-    modes are the per-axis cutoffs n (mode indices -n .. n) and grid the
-    sample counts, both over the same two or three trailing axes.  Cached,
-    with read-only index arrays.
+    Cached, with read-only np.ix_ arrays.
     """
-    bins = np.ix_(*(mode_range(n) % g for n, g in zip(modes[:-1], grid[:-1])))
+    bins = np.ix_(*(mode_range(n) % g for n, g in zip(modes, grid)))
     for b in bins:
         b.flags.writeable = False
-    return (Ellipsis, *bins, slice(modes[-1] + 1))
+    return (Ellipsis, *bins, slice(None))
 
 
 def _check_grid(spec: DomainSpec, grid: tuple[int, int, int]) -> None:
@@ -284,42 +287,69 @@ def _check_grid(spec: DomainSpec, grid: tuple[int, int, int]) -> None:
         )
 
 
-def _synth(coeffs: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
-    """Real samples of Hermitian coefficients on a uniform grid (one c2r call).
+def _mirror(half: np.ndarray, nd: int = 3) -> np.ndarray:
+    """Full mode box from its nonnegative-last-axis half: p < 0 mirrors p > 0 conjugated.
 
-    The last len(grid) axes of coeffs are mode axes -n .. n: three for a
-    mode box, two for a planar slab.  Only the nonnegative half of the last
-    mode axis is read; c2r implies the rest.
+    The last nd axes of half are mode axes, -n .. n on all but the last and
+    0 .. n on the last.
+    """
+    n = half.shape[-1] - 1
+    out = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=np.complex128)
+    out[..., n:] = half
+    np.conjugate(np.flip(half[..., 1:], axis=tuple(range(-nd, 0))), out=out[..., :n])
+    return out
+
+
+def _synth_half(half: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """Real samples on a uniform grid of Hermitian coefficients given by their half box.
+
+    The last len(grid) axes of half are mode axes: -n .. n on the leading
+    ones, 0 .. n on the last (the rest is implied).  The n + 1 planes are
+    embedded and transformed over the leading grid axes by one c2c call,
+    then one c2r call along the last axis, zero-padded to its grid size,
+    finishes.  Neither is scaled, as the synthesis convention asks.
     """
     nd = len(grid)
-    n = tuple(m // 2 for m in coeffs.shape[-nd:])
-    shape = coeffs.shape[:-nd] + tuple(grid[:-1]) + (grid[-1] // 2 + 1,)
-    half = np.zeros(shape, dtype=np.complex128)
-    half[_half_index(n, tuple(grid))] = coeffs[..., n[-1] :]
-    return ifftn(half, s=grid, axes=tuple(range(-nd, 0)), norm="forward", workers=1)
+    modes = tuple(m // 2 for m in half.shape[-nd:-1])
+    buf = np.zeros(half.shape[:-nd] + tuple(grid[:-1]) + half.shape[-1:], dtype=np.complex128)
+    buf[_bins(modes, tuple(grid[:-1]))] = half
+    buf = ifftn(buf, axes=tuple(range(-nd, -1)), norm="forward", overwrite_x=True, workers=1)
+    return irfft(buf, n=grid[-1], axis=-1, norm="forward", workers=1)
 
 
-def _analyze(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
-    """Exactly Hermitian retained-mode coefficients of real samples (one r2c call).
+def _analyze_half(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """Half box of the exactly Hermitian retained coefficients of real samples.
 
     modes holds the cutoffs (n1, n2, n3) of a mode box or (n1, n2) of a
-    planar slab; the last len(modes) axes of samples are grid axes.  The
-    nonnegative half of the last mode axis is read from the transform, its
-    zero plane is symmetrized and the negative half is filled by conjugate
-    mirror.  The planar form is what the solver's slab path uses for fields
-    whose p != 0 coefficients are all exactly zero.
+    planar slab; the last len(modes) axes of samples are grid axes.  One r2c
+    call along the last axis keeps its n + 1 nonnegative planes, which are
+    scaled once by 1/(grid point count) and transformed over the leading grid
+    axes by one c2c call, in axis order; the zero plane is then symmetrized.
+    This is the arithmetic of one multi-axis r2c transform, applied only to
+    the planes that are kept, so the retained values are the same bits.
     """
     samples = np.asarray(samples, dtype=np.float64)
     nd = len(modes)
-    axes = tuple(range(-nd, 0))
-    last = modes[-1]
-    half = fftn(samples, axes=axes, norm="forward", workers=1)
-    out = np.empty(samples.shape[:-nd] + tuple(2 * n + 1 for n in modes), dtype=np.complex128)
-    out[..., last:] = half[_half_index(modes, samples.shape[-nd:])]
-    plane = out[..., last]
-    plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=axes[1:])))
-    out[..., :last] = np.conj(np.flip(out[..., last + 1 :], axis=axes))
+    grid = samples.shape[-nd:]
+    kept = rfft(samples, axis=-1, workers=1)[..., : modes[-1] + 1]
+    # pocketfft's r2c factor, 1/N rounded from long double, times each real and imaginary part
+    scale = float(1 / np.longdouble(math.prod(grid)))
+    half = np.multiply(kept.view(np.float64), scale).view(np.complex128)
+    half = fftn(half, axes=tuple(range(-nd, -1)), overwrite_x=True, workers=1)
+    out = half[_bins(modes[:-1], grid[:-1])]
+    plane = out[..., 0]
+    plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=tuple(range(1 - nd, 0)))))
     return out
+
+
+def _synth(coeffs: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """_synth_half of the nonnegative-last-axis half of a mode box (3 axes) or slab (2)."""
+    return _synth_half(coeffs[..., coeffs.shape[-1] // 2 :], grid)
+
+
+def _analyze(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """Exactly Hermitian retained-mode coefficients of real samples: _analyze_half, mirrored."""
+    return _mirror(_analyze_half(samples, modes), len(modes))
 
 
 def to_physical(f: SpectralField, grid: tuple[int, int, int] | None = None) -> np.ndarray:
@@ -387,19 +417,30 @@ def h2_norm(f: SpectralField) -> float:
 
 @lru_cache(maxsize=64)
 def _ksq_divisor(spec: DomainSpec) -> np.ndarray:
-    """|k|^2 with the zero mode set to 1 (that mode of a field is zero anyway)."""
-    ksq = ksq_grid(spec).copy()
-    ksq[spec.n1, spec.n2, spec.n3] = 1.0
+    """|k|^2 over the p >= 0 half box, zero mode set to 1 (that mode of a field is zero anyway)."""
+    ksq = ksq_grid(spec)[..., spec.n3 :].copy()
+    ksq[spec.n1, spec.n2, 0] = 1.0
     ksq.flags.writeable = False
     return ksq
 
 
-def _leray_raw(coeffs: np.ndarray, spec: DomainSpec) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _half_kmag(spec: DomainSpec) -> np.ndarray:
+    """|k| over the p >= 0 half box (cached, read-only)."""
+    kmag = np.sqrt(ksq_grid(spec)[..., spec.n3 :])
+    kmag.flags.writeable = False
+    return kmag
+
+
+def _leray_raw(half: np.ndarray, spec: DomainSpec) -> np.ndarray:
+    """Leray projection of the planes p = 0 .. m - 1 of a half box, m = half.shape[-1]."""
+    m = half.shape[-1]
     k1, k2, k3 = kvec_grids(spec)
-    ksq = _ksq_divisor(spec)
-    kdotu = k1 * coeffs[0] + k2 * coeffs[1] + k3 * coeffs[2]
+    k3 = k3[..., spec.n3 : spec.n3 + m]
+    ksq = _ksq_divisor(spec)[..., :m]
+    kdotu = k1 * half[0] + k2 * half[1] + k3 * half[2]
     s = kdotu / ksq
-    out = coeffs.copy()
+    out = half.copy()
     out[0] -= k1 * s
     out[1] -= k2 * s
     out[2] -= k3 * s
@@ -408,7 +449,8 @@ def _leray_raw(coeffs: np.ndarray, spec: DomainSpec) -> np.ndarray:
 
 def leray(f: SpectralField) -> SpectralField:
     """Orthogonal projection onto divergence-free fields, mode by mode."""
-    return SpectralField._wrap(f.domain, _leray_raw(f.coeffs, f.domain))
+    half = _leray_raw(f.coeffs[..., f.domain.n3 :], f.domain)
+    return SpectralField._wrap(f.domain, _mirror(half))
 
 
 def proj_p(f: SpectralField) -> SpectralField:
@@ -468,17 +510,22 @@ def truncate(f: SpectralField, spec: DomainSpec) -> SpectralField:
     return SpectralField._wrap(spec, out)
 
 
+def _divergence_defect(half: np.ndarray, spec: DomainSpec) -> float:
+    """divergence_defect of the field whose p >= 0 half box is half.
+
+    Mirrored modes have equal ratios, so the half gives the full box's value.
+    """
+    k1, k2, k3 = kvec_grids(spec)
+    kdotu = np.abs(k1 * half[0] + k2 * half[1] + k3[..., spec.n3 :] * half[2])
+    umag = np.sqrt(np.sum(np.abs(half) ** 2, axis=0))
+    denom = _half_kmag(spec) * umag
+    # ratios are >= 0, so the zeros left where denom == 0 (all of it for the zero field) change no max
+    return float(np.max(np.divide(kdotu, denom, out=np.zeros_like(kdotu), where=denom > 0)))
+
+
 def divergence_defect(f: SpectralField) -> float:
     """max over modes of |k . c| / (|k| |c|); 0 for the zero field."""
-    k1, k2, k3 = kvec_grids(f.domain)
-    kdotu = np.abs(k1 * f.coeffs[0] + k2 * f.coeffs[1] + k3 * f.coeffs[2])
-    kmag = np.sqrt(ksq_grid(f.domain))
-    umag = np.sqrt(np.sum(np.abs(f.coeffs) ** 2, axis=0))
-    denom = kmag * umag
-    mask = denom > 0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(kdotu[mask] / denom[mask]))
+    return _divergence_defect(f.coeffs[..., f.domain.n3 :], f.domain)
 
 
 def random_field(

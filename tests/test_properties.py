@@ -2,8 +2,8 @@
 
 The draws cover l1 > l2, n1 != n2, n3 = 1 and odd and even grids.  Each
 property is checked against an independent computation: a numpy.fft c2c
-synthesis, closed forms of the exponential-integrator weights, or an exact
-algebraic identity.
+synthesis, scipy's multi-axis real transforms, closed forms of the
+exponential-integrator weights, or an exact algebraic identity.
 """
 
 import math
@@ -11,7 +11,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import scipy.fft
+from hypothesis import example, given, settings, strategies as st
 
 from thinflow import gronwall as gw
 from thinflow import solver as sv
@@ -89,6 +90,39 @@ def test_analysis_inverts_synthesis(modes, pad, components, seed):
     assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
 
 
+@drawn
+@given(
+    modes=st.lists(st.integers(1, 5), min_size=2, max_size=3),
+    pad=st.lists(st.integers(0, 7), min_size=3, max_size=3),
+    components=st.integers(0, 2),
+    seed=seeds,
+)
+# 67 * 69 points: 1/N rounded through long double differs from 1.0/N there
+@example(modes=[3, 1], pad=[60, 66, 0], components=2, seed=1)
+def test_pruned_pair_equals_full_real_transforms(modes, pad, components, seed):
+    """_synth and _analyze give the same bits as scipy's irfftn/rfftn over the full grid."""
+    nd = len(modes)
+    grid = tuple(2 * n + 1 + p for n, p in zip(modes, pad))
+    axes = tuple(range(-nd, 0))
+    lead = (components,) if components else ()
+    rng = np.random.default_rng(seed)
+    coeffs = hermitian(rng, lead + tuple(2 * n + 1 for n in modes), nd)
+    half = np.zeros(lead + grid[:-1] + (grid[-1] // 2 + 1,), dtype=np.complex128)
+    bins = np.ix_(*(np.arange(-n, n + 1) % g for n, g in zip(modes[:-1], grid[:-1])))
+    half[(...,) + bins + (slice(modes[-1] + 1),)] = coeffs[..., modes[-1] :]
+    ref = scipy.fft.irfftn(half, s=grid, axes=axes, norm="forward")
+    assert np.array_equal(sp._synth(coeffs, grid), ref)
+
+    samples = rng.standard_normal(lead + grid)
+    full = scipy.fft.rfftn(samples, axes=axes, norm="forward")[(...,) + bins + (slice(None),)]
+    ref = np.empty(coeffs.shape, dtype=np.complex128)
+    ref[..., modes[-1] :] = full[..., : modes[-1] + 1]
+    plane = ref[..., modes[-1]]
+    plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=axes[1:])))
+    ref[..., : modes[-1]] = np.conj(np.flip(ref[..., modes[-1] + 1 :], axis=axes))
+    assert np.array_equal(sp._analyze(samples, tuple(modes)), ref)
+
+
 def _taylor(z: np.ndarray, k: int) -> np.ndarray:
     """phi_k(z) = sum_j z^j / (j + k)!, converged to roundoff for |z| < 1."""
     return sum(z**j / math.factorial(j + k) for j in range(25))
@@ -118,12 +152,12 @@ def _closed_forms(z: np.ndarray) -> dict[str, np.ndarray]:
 @drawn
 @given(domain=domains(), dt=st.floats(1e-4, 1.0))
 def test_contour_weights_match_closed_forms(domain, dt):
-    """The stepper's contour-mean weights equal their closed forms.
+    """The stepper's contour-mean weights equal their closed forms on the half box.
 
     The 5e-13 absolute floor covers f1's sign change near z = -2.7 and the
     contour points that pass within 0.025 of the origin when |z| is near 1.
     """
-    z = -domain.nu * (2.0 * np.pi) ** 2 * np.asarray(sp.ksq_grid(domain)) * dt
+    z = -domain.nu * (2.0 * np.pi) ** 2 * sp.ksq_grid(domain)[..., domain.n3 :] * dt
     ref = _closed_forms(z)
     for scheme, names in (("etd-rk2", ("p1", "p2")), ("etd-rk4", ("Q", "f1", "f2", "f3"))):
         stepper = sv._Stepper(domain, dt, scheme)

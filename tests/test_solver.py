@@ -243,7 +243,8 @@ class TestForcing:
         assert f._raw(0.0) is None  # sin(0) = 0: no forcing term at all
         for t in (0.3, 1.1):
             a = f.modulation.value(t)
-            assert np.array_equal(f._raw(t), f.profile.coeffs * a)
+            # the stepper's forcing term: the p >= 0 half box of the profile times a
+            assert np.array_equal(f._raw(t), f.profile.coeffs[..., d.n3 :] * a)
             assert np.array_equal(f.value(t).coeffs, f.profile.coeffs * a)
 
     def test_modulation_validation(self):

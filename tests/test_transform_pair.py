@@ -79,11 +79,14 @@ class TestTransformPair:
 
     @pytest.mark.parametrize("scheme", sv.SCHEMES)
     def test_step_exactly_hermitian(self, d, scheme):
+        """A step's p < 0 half is the exact conjugate mirror of its p >= 0 half, on 3D data."""
         rng = np.random.default_rng(3)
         forcing = sv.ForcingSpec.steady(sp.random_field(d, rng), amplitude=0.1)
         cfg = sv.SolverConfig(dt=1e-3, t_end=1.0, scheme=scheme, enforce_cfl=False)
-        state = sv.step(sv.RunState(u=velocity(d), t=0.0, step=0), forcing, cfg)
-        assert is_hermitian(state.u.coeffs)
+        for kind in ("random-divfree", "q-perturbed"):
+            state = sv.step(sv.RunState(u=velocity(d, kind=kind), t=0.0, step=0), forcing, cfg)
+            assert np.max(np.abs(state.u.coeffs[..., d.n3 + 1 :])) > 0.0, kind
+            assert is_hermitian(state.u.coeffs), kind
 
     def test_round_trip(self, d):
         u = velocity(d)
@@ -98,13 +101,17 @@ class TestTransformPair:
 
 
 def synthesis_dims(monkeypatch) -> list[int]:
-    """Record the number of transformed axes of every c2r call, as a tracer would."""
+    """Record the number of grid axes every synthesis transforms, as a tracer would.
+
+    Each synthesis makes one c2c call over all but the last grid axis, so
+    that is its axis count plus one.
+    """
     dims = []
     inner = sp.ifftn
 
-    def traced(x, s, **kwargs):
-        dims.append(len(s))
-        return inner(x, s, **kwargs)
+    def traced(x, *args, axes, **kwargs):
+        dims.append(len(axes) + 1)
+        return inner(x, *args, axes=axes, **kwargs)
 
     monkeypatch.setattr(sp, "ifftn", traced)
     return dims
@@ -139,3 +146,18 @@ def test_planar_data_with_3d_forcing_leaves_the_slab_path(monkeypatch):
     for _ in range(3):
         state = sv.step(state, forcing, cfg)
     assert dims == [2, 3] + [3, 3] * 2
+
+
+def test_3d_nonlinear_term_calls_the_traced_transforms(monkeypatch):
+    """A 3D evaluation runs one c2c call each through spectral.ifftn and spectral.fftn.
+
+    perfbench's tracer counts FFTs by wrapping exactly these two names.
+    """
+    calls = []
+    for name in ("ifftn", "fftn"):
+        inner = getattr(sp, name)
+        monkeypatch.setattr(
+            sp, name, lambda x, *a, _n=name, _f=inner, **k: calls.append(_n) or _f(x, *a, **k)
+        )
+    sv.nonlinear_term(velocity(DOMAINS[0]))
+    assert calls == ["ifftn", "fftn"]
