@@ -249,6 +249,13 @@ def _planar_slabs(u: SpectralField) -> np.ndarray:
     return u.coeffs[..., u.domain.n3]
 
 
+def _planar_derivs(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> tuple:
+    """Samples of the Laplacian and the x and y derivatives of a planar slab on a 2D grid."""
+    k1, k2 = (2j * np.pi * k[..., 0] for k in kvec_grids(d)[:2])
+    lap = -((2 * np.pi) ** 2) * ksq_grid(d)[..., d.n3]
+    return _synth(lap * slab, grid), _synth(k1 * slab, grid), _synth(k2 * slab, grid)
+
+
 def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = None) -> float:
     """Normalized quadrature of the planar cancellation integral.
 
@@ -266,12 +273,8 @@ def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = Non
     if grid is None:
         grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
     slab = _planar_slabs(r)[:2]
-    k1, k2 = (k[..., 0] for k in kvec_grids(d)[:2])
     ksq = ksq_grid(d)[..., d.n3]
-    two_pi_i = 2j * np.pi
-    lap = _synth(-((2 * np.pi) ** 2) * ksq * slab, grid)
-    rx = _synth(two_pi_i * k1 * slab, grid)
-    ry = _synth(two_pi_i * k2 * slab, grid)
+    lap, rx, ry = _planar_derivs(slab, d, grid)
     rp = _synth(slab, grid)
     integrand = np.sum(lap * (rp[0] * rx + rp[1] * ry), axis=0)
     area = d.l1 * d.l2
@@ -303,12 +306,8 @@ def s_transport_residual(
         grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
     rslab = _planar_slabs(r)[:2]
     sslab = _planar_slabs(s)[2]
-    k1, k2 = (k[..., 0] for k in kvec_grids(d)[:2])
     ksq = ksq_grid(d)[..., d.n3]
-    two_pi_i = 2j * np.pi
-    lap_s = _synth(-((2 * np.pi) ** 2) * ksq * sslab, grid)
-    sx = _synth(two_pi_i * k1 * sslab, grid)
-    sy = _synth(two_pi_i * k2 * sslab, grid)
+    lap_s, sx, sy = _planar_derivs(sslab, d, grid)
     rp = _synth(rslab, grid)
     transport = rp[0] * sx + rp[1] * sy
     area = d.l1 * d.l2

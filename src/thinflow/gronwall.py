@@ -29,10 +29,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .diagnostics import DiagnosticSeries, InequalityReport
+from .solver import nonlinear_term
 from .spectral import (
     DomainSpec,
     SpectralField,
     default_grid,
+    deriv,
+    leray,
     min_nonzero_k,
     norm_ds,
     norm_l2,
@@ -447,8 +450,6 @@ def rescale(u: SpectralField, f: SpectralField | None = None) -> RescaleResult:
     factor_u = src.nu / math.sqrt(n * src.l1)
 
     def quad_grad(g: SpectralField) -> float:
-        from .spectral import deriv
-
         return _quadrature_l2(deriv(g, 1.0))
 
     lhs_u = quad_grad(u)
@@ -503,9 +504,6 @@ def rescale_rhs_residual(u: SpectralField, f: SpectralField | None = None) -> fl
     right side of the original equation.  Pure spectral computation, so the
     residual is roundoff-level.
     """
-    from .solver import nonlinear_term
-    from .spectral import deriv, leray
-
     def rhs(field: SpectralField, forcing: SpectralField | None) -> SpectralField:
         d = field.domain
         lap = deriv(field, 2.0) * (-d.nu)

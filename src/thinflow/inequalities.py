@@ -1,9 +1,13 @@
 """Empirical best-constant estimation for the functional inequalities.
 
-Each estimator maximizes the ratio LHS/RHS of an inequality over randomized
-trial ensembles plus a derivative-free refinement pass, so every reported
-constant is a certified lower bound on the true one: the maximizing field is
-stored and reproduces the ratio.  Upper bounds are never claimed.
+estimate_constant maximizes the ratio LHS/RHS of an inequality over trial
+fields plus a derivative-free refinement pass, so every reported constant is
+a certified lower bound on the true one: the maximizing field is stored and
+reproduces the ratio.  Upper bounds are never claimed.  Planar and 3D
+inequalities share one pipeline: a list of deterministic near-extremal
+trials, then one random loop that picks a family and draws complex white
+noise times that family's envelope (computed once per call), then
+coordinate ascent on the best trial.
 
 Inequalities (keys accepted by estimate_constant):
 
@@ -39,6 +43,8 @@ from .spectral import (
     mode_range,
     norm_ds,
     norm_l2,
+    _checked_hermitian,
+    _symmetrize,
     _synth,
 )
 
@@ -81,20 +87,11 @@ class Field2D:
     __slots__ = ("l1", "l2", "n1", "n2", "coeffs")
 
     def __init__(self, l1: float, l2: float, n1: int, n2: int, coeffs: np.ndarray):
-        arr = np.array(coeffs, dtype=np.complex128, order="C", copy=True)
-        if arr.shape != (2 * n1 + 1, 2 * n2 + 1):
-            raise ValueError(f"coefficient shape {arr.shape} != {(2*n1+1, 2*n2+1)}")
-        sym = 0.5 * (arr + np.conj(np.flip(arr)))
-        scale = float(np.max(np.abs(sym))) if sym.size else 0.0
-        if float(np.max(np.abs(arr - sym))) > 1e-6 * max(scale, 1e-300):
-            raise ValueError("coefficients are not Hermitian-symmetric")
-        sym[n1, n2] = 0.0
-        sym.flags.writeable = False
         object.__setattr__(self, "l1", float(l1))
         object.__setattr__(self, "l2", float(l2))
         object.__setattr__(self, "n1", int(n1))
         object.__setattr__(self, "n2", int(n2))
-        object.__setattr__(self, "coeffs", sym)
+        object.__setattr__(self, "coeffs", _checked_hermitian(coeffs, (2 * n1 + 1, 2 * n2 + 1), 2))
 
     def __setattr__(self, name, value):
         raise AttributeError("Field2D is immutable")
@@ -288,13 +285,9 @@ def _ratio_hausdorff_young(u: SpectralField, p: float, oversample: int) -> float
 # Trial ensembles.
 # ---------------------------------------------------------------------------
 
-def _q_mask_random(spec: DomainSpec, rng, envelope) -> SpectralField:
-    shape = (3,) + spec.shape
-    raw = np.zeros(shape, dtype=np.complex128)
-    raw[0] = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    raw[0] *= envelope
-    raw[0, :, :, spec.n3] = 0.0  # no vertical mean: live in the range of Q
-    return SpectralField(spec, hermitian_symmetrize(raw))
+def _draw(rng, shape: tuple[int, ...], envelope) -> np.ndarray:
+    """Complex white noise (real part drawn first) times an amplitude envelope."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * envelope
 
 
 def _thin_profile(spec: DomainSpec, exponent: float) -> SpectralField:
@@ -311,13 +304,6 @@ def _thin_profile(spec: DomainSpec, exponent: float) -> SpectralField:
     raw = np.zeros((3,) + spec.shape, dtype=np.complex128)
     raw[0] = prof
     return SpectralField(spec, raw)
-
-
-def _random_2d(f_shape, rng, l1, l2, n1, n2, envelope) -> Field2D:
-    raw = rng.standard_normal(f_shape) + 1j * rng.standard_normal(f_shape)
-    raw *= envelope
-    sym = 0.5 * (raw + np.conj(np.flip(raw)))
-    return Field2D(l1, l2, n1, n2, sym)
 
 
 def single_mode_floor_planar_l4(l1: float = 1.0, l2: float = 1.0) -> float:
@@ -381,25 +367,28 @@ _RATIO_DISPATCH = {
 }
 
 
-def _refine_coordinates(best, ratio_fn, rng, budget: int, top_k: int = 40):
+#: number of dominant coefficients the refinement perturbs
+_REFINE_TOP_K = 40
+
+
+def _refine_coordinates(best, ratio_fn, budget: int):
     """Cyclic coordinate ascent on the largest coefficients of the incumbent.
 
     Perturbs real and imaginary parts of the dominant modes (keeping the
     Hermitian mirror in sync), with a step that shrinks whenever a full pass
-    yields no improvement.  Derivative-free and reproducible given the rng.
+    yields no improvement.  Derivative-free and deterministic.
     """
     if budget <= 0:
         return best, 0.0
     if isinstance(best, Field2D):
-        coeffs = best.coeffs.copy()
         make = lambda c: Field2D(best.l1, best.l2, best.n1, best.n2, c)
-        sym = lambda c: 0.5 * (c + np.conj(np.flip(c)))
+        nd = 2
     else:
-        coeffs = best.coeffs.copy()
         make = lambda c: SpectralField(best.domain, c)
-        sym = hermitian_symmetrize
+        nd = 3
+    coeffs = best.coeffs.copy()
     flat = np.abs(coeffs).ravel()
-    order = np.argsort(flat)[::-1][: min(top_k, flat.size)]
+    order = np.argsort(flat)[::-1][: min(_REFINE_TOP_K, flat.size)]
     scale = float(np.max(flat))
     if scale == 0.0:
         return best, 0.0
@@ -415,7 +404,7 @@ def _refine_coordinates(best, ratio_fn, rng, budget: int, top_k: int = 40):
             for delta in (step * scale, -step * scale, 1j * step * scale, -1j * step * scale):
                 cand = coeffs.copy()
                 cand.ravel()[idx] += delta
-                cand = sym(cand)
+                cand = _symmetrize(cand, nd)
                 r = ratio_fn(make(cand))
                 evals += 1
                 if r > best_ratio * (1.0 + 1e-12):
@@ -432,7 +421,6 @@ def _refine_coordinates(best, ratio_fn, rng, budget: int, top_k: int = 40):
 def estimate_constant(
     inequality: str,
     domain: DomainSpec,
-    resolution: tuple[int, int, int] | None = None,
     budget: int = 200,
     seed: int = 0,
     oversample: int = 4,
@@ -442,9 +430,9 @@ def estimate_constant(
 ) -> ConstantEstimate:
     """Randomized lower-bound estimation of an inequality constant.
 
-    budget counts ratio evaluations and is split between the trial ensembles
-    (white / power-law / single-block / deterministic profiles) and the
-    coordinate-ascent refinement of the best trial.
+    budget counts ratio evaluations and is split between the trials (the
+    deterministic ones, then random draws from white, power-law or dyadic
+    block families) and the coordinate-ascent refinement of the best trial.
     """
     if inequality not in INEQUALITIES:
         raise ValueError(f"unknown inequality {inequality!r}; pick one of {INEQUALITIES}")
@@ -453,15 +441,67 @@ def estimate_constant(
     rng = np.random.default_rng(seed)
     params = {"oversample": oversample, "alpha": alpha, "p": p}
 
-    if resolution is not None:
-        domain = DomainSpec(
-            l1=domain.l1, l2=domain.l2, eps=domain.eps, nu=domain.nu,
-            n1=resolution[0], n2=resolution[1], n3=resolution[2],
-        )
-
     trial_budget = budget if not refine else max(budget // 2, 1)
     refine_budget = budget - trial_budget if refine else 0
 
+    # fixed: the deterministic (kind, trial) list; families: (kind, envelope)
+    # per random family, or a list of them from which a second draw picks one;
+    # random_trial: the trial of one envelope
+    if inequality == "planar-l4":
+        n1, n2 = domain.n1, domain.n2
+        kmag = _planar_kmag(domain.l1, domain.l2, n1, n2)
+        kmag_safe = np.where(kmag == 0, 1.0, kmag)
+        make = lambda c: Field2D(domain.l1, domain.l2, n1, n2, c)
+        # the single-mode floor first: it is also the analytic regression target
+        single = np.zeros(kmag.shape, dtype=np.complex128)
+        single[n1 + 1, n2] = 0.5
+        single[n1 - 1, n2] = 0.5
+        fixed = [("single-mode", make(single))] + [
+            (f"profile-{s}", make((kmag_safe**-s) * (kmag >= 1.0)))
+            for s in (1.0, 1.25, 1.5, 1.75, 2.0)
+        ]
+        n_blocks = max(1, int(np.log2(max(np.max(kmag), 2.0))))
+        blocks = [
+            (f"block-{m}", ((kmag >= 2.0**m) & (kmag < 2.0 ** (m + 1))).astype(float))
+            for m in range(n_blocks)
+        ]
+        families = [
+            ("white", 1.0),
+            ("powerlaw-1", kmag_safe**-1.0),
+            ("powerlaw-1.5", kmag_safe**-1.5),
+            blocks,
+        ]
+        random_trial = lambda env: make(_symmetrize(_draw(rng, kmag.shape, env), 2))
+    else:
+        ksq = np.asarray(ksq_grid(domain))
+        kmin2 = min_nonzero_k(domain) ** 2
+        ksq_safe = np.where(ksq == 0, kmin2, ksq)
+        q_constrained = inequality != "poincare"
+        if q_constrained:
+            # deterministic near-extremal profiles on the range of Q
+            exponents = (4.0,) if inequality == "thin-sup" else (2.5, 3.0, 3.5)
+            fixed = [(f"profile-{e}", _thin_profile(domain, e)) for e in exponents]
+        else:
+            lowest = np.zeros((3,) + domain.shape, dtype=np.complex128)
+            axis = int(np.argmax([domain.l1, domain.l2, domain.eps]))
+            idx = [domain.n1, domain.n2, domain.n3]
+            idx[axis] += 1
+            lowest[(0,) + tuple(idx)] = 0.5
+            fixed = [("lowest-mode", SpectralField(domain, hermitian_symmetrize(lowest)))]
+        families = [
+            ("random-0", 1.0),
+            ("random-1", (ksq_safe / kmin2) ** -0.5),
+            ("random-2", (ksq_safe / kmin2) ** -1.0),
+        ]
+
+        def random_trial(env) -> SpectralField:
+            raw = np.zeros((3,) + domain.shape, dtype=np.complex128)
+            raw[0] = _draw(rng, domain.shape, env)
+            if q_constrained:
+                raw[0, :, :, domain.n3] = 0.0  # no vertical mean: live in the range of Q
+            return SpectralField(domain, hermitian_symmetrize(raw))
+
+    ratio_fn = lambda cand: _RATIO_DISPATCH[inequality](cand, params)
     best = None
     best_ratio = -1.0
     best_kind = ""
@@ -470,79 +510,23 @@ def estimate_constant(
 
     def consider(candidate, kind: str):
         nonlocal best, best_ratio, best_kind, trials
-        r = _RATIO_DISPATCH[inequality](candidate, params)
+        r = ratio_fn(candidate)
         trials += 1
         ensemble_best[kind] = max(ensemble_best.get(kind, 0.0), r)
         if r > best_ratio:
             best, best_ratio, best_kind = candidate, r, kind
 
-    if inequality == "planar-l4":
-        n1, n2 = domain.n1, domain.n2
-        shape = (2 * n1 + 1, 2 * n2 + 1)
-        kmag = _planar_kmag(domain.l1, domain.l2, n1, n2)
-        kmag_safe = np.where(kmag == 0, 1.0, kmag)
-        # the single-mode floor first: it is also the analytic regression target
-        single = np.zeros(shape, dtype=np.complex128)
-        single[n1 + 1, n2] = 0.5
-        single[n1 - 1, n2] = 0.5
-        consider(Field2D(domain.l1, domain.l2, n1, n2, single), "single-mode")
-        for s in (1.0, 1.25, 1.5, 1.75, 2.0):
-            consider(
-                Field2D(domain.l1, domain.l2, n1, n2, (kmag_safe**-s) * (kmag >= 1.0)),
-                f"profile-{s}",
-            )
-        n_blocks = max(1, int(np.log2(max(np.max(kmag), 2.0))))
-        while trials < trial_budget:
-            pick = rng.integers(0, 4)
-            if pick == 0:
-                consider(_random_2d(shape, rng, domain.l1, domain.l2, n1, n2, 1.0), "white")
-            elif pick == 1:
-                consider(
-                    _random_2d(shape, rng, domain.l1, domain.l2, n1, n2, kmag_safe**-1.0),
-                    "powerlaw-1",
-                )
-            elif pick == 2:
-                consider(
-                    _random_2d(shape, rng, domain.l1, domain.l2, n1, n2, kmag_safe**-1.5),
-                    "powerlaw-1.5",
-                )
-            else:
-                m = int(rng.integers(0, n_blocks))
-                env = ((kmag >= 2.0**m) & (kmag < 2.0 ** (m + 1))).astype(float)
-                consider(
-                    _random_2d(shape, rng, domain.l1, domain.l2, n1, n2, env),
-                    f"block-{m}",
-                )
-    else:
-        ksq = np.asarray(ksq_grid(domain))
-        kmin2 = min_nonzero_k(domain) ** 2
-        ksq_safe = np.where(ksq == 0, kmin2, ksq)
-        if inequality in ("thin-sup", "thin-l4", "hausdorff-young"):
-            # deterministic near-extremal profiles on the range of Q
-            exponents = (4.0,) if inequality == "thin-sup" else (2.5, 3.0, 3.5)
-            for e in exponents:
-                consider(_thin_profile(domain, e), f"profile-{e}")
-        if inequality == "poincare":
-            lowest = np.zeros((3,) + domain.shape, dtype=np.complex128)
-            axis = int(np.argmax([domain.l1, domain.l2, domain.eps]))
-            idx = [domain.n1, domain.n2, domain.n3]
-            idx[axis] += 1
-            lowest[(0,) + tuple(idx)] = 0.5
-            consider(SpectralField(domain, hermitian_symmetrize(lowest)), "lowest-mode")
-        q_constrained = inequality in ("thin-sup", "thin-l4", "hausdorff-young")
-        while trials < trial_budget:
-            pick = rng.integers(0, 3)
-            env = {0: 1.0, 1: (ksq_safe / kmin2) ** -0.5, 2: (ksq_safe / kmin2) ** -1.0}[int(pick)]
-            if q_constrained:
-                consider(_q_mask_random(domain, rng, env), f"random-{pick}")
-            else:
-                raw = np.zeros((3,) + domain.shape, dtype=np.complex128)
-                raw[0] = (rng.standard_normal(domain.shape) + 1j * rng.standard_normal(domain.shape)) * env
-                consider(SpectralField(domain, hermitian_symmetrize(raw)), f"random-{pick}")
+    for kind, trial in fixed:
+        consider(trial, kind)
+    while trials < trial_budget:
+        family = families[int(rng.integers(0, len(families)))]
+        if isinstance(family, list):
+            family = family[int(rng.integers(0, len(family)))]
+        kind, env = family
+        consider(random_trial(env), kind)
 
     if refine and refine_budget > 0:
-        ratio_fn = lambda cand: _RATIO_DISPATCH[inequality](cand, params)
-        refined, refined_ratio = _refine_coordinates(best, ratio_fn, rng, refine_budget)
+        refined, refined_ratio = _refine_coordinates(best, ratio_fn, refine_budget)
         if refined_ratio > best_ratio:
             best, best_ratio = refined, refined_ratio
             best_kind += "+ascent"

@@ -33,6 +33,7 @@ later evaluation takes the slab path too.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -459,8 +460,6 @@ def run(
         if out_dir is None or cfg.checkpoint_stride <= 0 or io_errors:
             return
         if force or state.step % cfg.checkpoint_stride == 0:
-            import os
-
             path = os.path.join(out_dir, f"{run_id}_step{state.step:08d}.ckpt")
             try:
                 save_checkpoint(state.u, path, time=state.t, step=state.step)
@@ -479,7 +478,7 @@ def run(
             if abs(dt_i - cfg.dt) < 1e-12 * cfg.dt:
                 state = step(state, forcing, cfg)
             else:
-                state = step(state, forcing, replace(cfg, dt=dt_i, enforce_cfl=False))
+                state = step(state, forcing, replace(cfg, dt=dt_i))
             if state.step % cfg.diag_stride == 0 or i == n_steps - 1:
                 builder.append(state.t, state.u, f_l2(state.t))
                 maybe_checkpoint(state, force=(i == n_steps - 1))

@@ -8,17 +8,18 @@ indices |m| <= n1, |n| <= n2, |p| <= n3, following the synthesis convention
     u_j(x, y, z) = sum_{m,n,p} c_j(m,n,p) exp(2 pi i (m x/l1 + n y/l2 + p z/eps)).
 
 Real-valuedness is the Hermitian symmetry c(-m,-n,-p) = conj(c(m,n,p)).
-Coefficients from outside (a SpectralField built from a user array or a
-checkpoint) are symmetrized and verified at construction, because silent
-drift would make fields complex.  Internal transforms need no such repair:
-the one real transform pair works on the p >= 0 half box c[..., n3:], which
-determines the rest.  Synthesis embeds its n3 + 1 planes, transforms them
-over (x, y) and finishes with a c2r along z; analysis runs an r2c along z,
-keeps n3 + 1 planes, transforms only those over (x, y) and symmetrizes the
-p = 0 plane.  Diagonal operators keep that half exactly Hermitian on its
-p = 0 plane, so the full box is its conjugate mirror, formed once where a
-field is made.  The (0,0,0) mode is structurally pinned to zero: all fields
-live in the mean-free reduction.
+Coefficients from outside (a SpectralField or planar Field2D built from a
+user array or a checkpoint) pass one checked construction, because silent
+drift would make fields complex: one symmetrizer, (c + conj(flip c)) / 2
+over the mode axes, then a defect check.  Internal transforms need no such
+repair: the one real transform pair works on the p >= 0 half box
+c[..., n3:], which determines the rest.  Synthesis embeds its n3 + 1 planes,
+transforms them over (x, y) and finishes with a c2r along z; analysis runs
+an r2c along z, keeps n3 + 1 planes, transforms only those over (x, y) and
+symmetrizes the p = 0 plane.  Diagonal operators keep that half exactly
+Hermitian on its p = 0 plane, so the full box is its conjugate mirror,
+formed once where a field is made.  The (0,0,0) mode is structurally pinned
+to zero: all fields live in the mean-free reduction.
 
 Physical frequencies are k = (m/l1, n/l2, p/eps).  The fractional derivative
 D^alpha acts as the real multiplier (2 pi |k|)^alpha; every use downstream is
@@ -166,52 +167,60 @@ def poincare_constant(spec: DomainSpec, alpha: float) -> float:
     return (2.0 * np.pi * min_nonzero_k(spec)) ** (-alpha)
 
 
+def _symmetrize(raw: np.ndarray, nd: int) -> np.ndarray:
+    """Project onto arrays Hermitian over the last nd (mode) axes: (c + conj(flip c)) / 2."""
+    return 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(-nd, 0)))))
+
+
 def hermitian_symmetrize(raw: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric arrays over the last three axes."""
-    flipped = np.flip(raw, axis=(-3, -2, -1))
-    return 0.5 * (raw + np.conj(flipped))
+    return _symmetrize(raw, 3)
+
+
+def _checked_hermitian(coeffs, shape: tuple[int, ...], nd: int) -> np.ndarray:
+    """Read-only symmetrization, zero mode pinned, of outside input of the given shape,
+    which must be Hermitian over its last nd axes to a relative defect of _HERMITIAN_TOL."""
+    arr = np.asarray(coeffs, dtype=np.complex128, order="C")
+    if arr.shape != shape:
+        raise ValueError(f"coefficient shape {arr.shape} does not match {shape}")
+    sym = _symmetrize(arr, nd)
+    scale = float(np.max(np.abs(sym))) if sym.size else 0.0
+    defect = float(np.max(np.abs(arr - sym)))
+    if defect > _HERMITIAN_TOL * max(scale, 1e-300):
+        raise ValueError(
+            f"coefficients are not Hermitian (relative defect {defect / max(scale, 1e-300):.3e}); "
+            "symmetrize explicitly before constructing a field"
+        )
+    sym[(Ellipsis,) + tuple(m // 2 for m in shape[-nd:])] = 0.0
+    sym.flags.writeable = False
+    return sym
 
 
 class SpectralField:
     """Immutable 3-component coefficient array on a domain's mode box.
 
-    Construction symmetrizes the coefficients and verifies the input was
-    already Hermitian to within a small relative defect, then pins the
-    (0,0,0) mode to zero and freezes the array.  All operations on fields
-    are pure functions; instances are safe to share across threads.
+    Construction is the checked Hermitian construction (_checked_hermitian).
+    All operations on fields are pure functions; instances are safe to share
+    across threads.
     """
 
     __slots__ = ("domain", "coeffs")
 
     def __init__(self, domain: DomainSpec, coeffs: np.ndarray):
-        arr = np.array(coeffs, dtype=np.complex128, order="C", copy=True)
-        if arr.shape != (3,) + domain.shape:
-            raise ValueError(
-                f"coefficient shape {arr.shape} does not match (3,)+{domain.shape}"
-            )
-        sym = hermitian_symmetrize(arr)
-        scale = float(np.max(np.abs(sym))) if sym.size else 0.0
-        defect = float(np.max(np.abs(arr - sym)))
-        if defect > _HERMITIAN_TOL * max(scale, 1e-300):
-            raise ValueError(
-                f"coefficients are not Hermitian (relative defect {defect / max(scale, 1e-300):.3e}); "
-                "symmetrize explicitly before constructing a field"
-            )
-        sym[:, domain.n1, domain.n2, domain.n3] = 0.0
-        sym.flags.writeable = False
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", sym)
+        object.__setattr__(self, "coeffs", _checked_hermitian(coeffs, (3,) + domain.shape, 3))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")
 
     @classmethod
     def _wrap(cls, domain: DomainSpec, sym: np.ndarray) -> "SpectralField":
-        """Fast path for arrays already exactly Hermitian (internal use)."""
+        """Fast path for arrays already exactly Hermitian (internal use).
+
+        Takes ownership: callers pass an array they have just made, frozen in place.
+        """
         out = object.__new__(cls)
         arr = np.ascontiguousarray(sym, dtype=np.complex128)
-        if arr is sym and arr.flags.writeable:
-            arr = arr.copy()
         arr[:, domain.n1, domain.n2, domain.n3] = 0.0
         arr.flags.writeable = False
         object.__setattr__(out, "domain", domain)
@@ -337,8 +346,7 @@ def _analyze_half(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
     half = np.multiply(kept.view(np.float64), scale).view(np.complex128)
     half = fftn(half, axes=tuple(range(-nd, -1)), overwrite_x=True, workers=1)
     out = half[_bins(modes[:-1], grid[:-1])]
-    plane = out[..., 0]
-    plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=tuple(range(1 - nd, 0)))))
+    out[..., 0] = _symmetrize(out[..., 0], nd - 1)
     return out
 
 

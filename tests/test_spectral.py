@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from thinflow import spectral as sp
+from thinflow.inequalities import Field2D
 
 
 def quadrature_l2(f: sp.SpectralField, grid=None) -> float:
@@ -39,6 +40,36 @@ class TestDomainSpec:
     def test_min_nonzero_k(self, thin_domain):
         # smallest frequency sits on the longest axis
         assert sp.min_nonzero_k(thin_domain) == pytest.approx(1.0 / 1.5)
+
+
+# the two constructors that share the checked Hermitian construction:
+# (constructor, coefficient shape, number of trailing mode axes)
+_HERMITIAN_BOXES = [
+    (lambda c: Field2D(1.0, 1.0, 2, 3, c), (5, 7), 2),
+    (
+        lambda c: sp.SpectralField(
+            sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=2, n2=3, n3=2), c
+        ),
+        (3, 5, 7, 5),
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("make, shape, nd", _HERMITIAN_BOXES, ids=["2d", "3d"])
+def test_checked_construction_is_exactly_hermitian(rng, make, shape, nd):
+    axes = tuple(range(-nd, 0))
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # Hermitian up to a relative defect of about 1e-9, far inside the tolerance
+    near = sp._symmetrize(raw, nd) + 1e-9 * rng.standard_normal(shape)
+    before = near.copy()
+    coeffs = make(near).coeffs
+    assert np.array_equal(coeffs, np.conj(np.flip(coeffs, axis=axes)))
+    assert np.all(coeffs[(Ellipsis,) + tuple(m // 2 for m in shape[-nd:])] == 0.0)
+    assert not coeffs.flags.writeable
+    assert np.array_equal(near, before)  # the input is never written
+    with pytest.raises(ValueError, match="Hermitian"):
+        make(near + 1e-3 * rng.standard_normal(shape))
 
 
 class TestFieldConstruction:
