@@ -443,23 +443,6 @@ _COMMANDS = {
 }
 
 
-class ExperimentConfig:
-    """A scenario name plus its resolved key=value settings."""
-
-    __slots__ = ("scenario", "values")
-
-    def __init__(self, scenario: str, values: dict[str, str]):
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}; pick one of {SCENARIOS}")
-        self.scenario = scenario
-        self.values = dict(values)
-
-
-def run_scenario(cfg: ExperimentConfig) -> int:
-    """Execute a configured scenario; returns the process exit status."""
-    return _COMMANDS[cfg.scenario](cfg.values)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thinflow",
@@ -508,7 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return run_scenario(ExperimentConfig(args.scenario, cfg))
+        return _COMMANDS[args.scenario](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

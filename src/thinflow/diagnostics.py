@@ -35,6 +35,7 @@ from .spectral import (
     load_checkpoint,
     norm_ds,
     norm_l2,
+    _box_sum,
     _synth,
 )
 
@@ -158,26 +159,26 @@ def _split_norms(u: SpectralField) -> dict[str, float]:
     """Squared derivative norms of the r, s, w parts without materializing them."""
     d = u.domain
     vol = d.volume
-    ksq = ksq_grid(d)
-    abs2 = np.abs(u.coeffs) ** 2
+    ksq = ksq_grid(d)[..., d.n3 :]
+    abs2 = np.abs(u.half) ** 2
     four_pi2 = (2.0 * np.pi) ** 2
 
-    p0 = abs2[..., d.n3]            # (3, M1, M2) vertical-average modes
-    ksq_p0 = ksq[..., d.n3]
-    w_abs2 = abs2.copy()
-    w_abs2[..., d.n3] = 0.0         # oscillatory modes only
+    p0 = abs2[..., 0]               # (3, M1, M2) vertical-average modes
+    ksq_p0 = ksq[..., 0]
+    w_abs2 = np.sum(abs2, axis=0)
+    w_abs2[..., 0] = 0.0            # oscillatory modes only
 
     def wsum(a, weights):
         return float(np.sum(weights * a))
 
     dr2 = vol * four_pi2 * (wsum(p0[0], ksq_p0) + wsum(p0[1], ksq_p0))
     ds2 = vol * four_pi2 * wsum(p0[2], ksq_p0)
-    dw2 = vol * four_pi2 * float(np.sum(ksq * np.sum(w_abs2, axis=0)))
+    dw2 = vol * four_pi2 * _box_sum(ksq * w_abs2)
     d2r2 = vol * four_pi2**2 * (wsum(p0[0], ksq_p0**2) + wsum(p0[1], ksq_p0**2))
     d2s2 = vol * four_pi2**2 * wsum(p0[2], ksq_p0**2)
-    d2w2 = vol * four_pi2**2 * float(np.sum(ksq**2 * np.sum(w_abs2, axis=0)))
+    d2w2 = vol * four_pi2**2 * _box_sum(ksq**2 * w_abs2)
 
-    theta2 = vol * float(np.sum(abs2))
+    theta2 = vol * _box_sum(abs2)
     du2 = dr2 + ds2 + dw2
     d2u2 = d2r2 + d2s2 + d2w2
     return {
@@ -235,18 +236,16 @@ def compute_series(fields, times, forcing=None) -> DiagnosticSeries:
 # ---------------------------------------------------------------------------
 
 def _require_planar(u: SpectralField, name: str, tol: float = 1e-12) -> None:
-    scale = float(np.max(np.abs(u.coeffs)))
+    scale = float(np.max(np.abs(u.half)))
     if scale == 0.0:
         return
-    off = np.abs(u.coeffs).copy()
-    off[..., u.domain.n3] = 0.0
-    if float(np.max(off)) > tol * scale:
+    if float(np.max(np.abs(u.half[..., 1:]))) > tol * scale:
         raise ValueError(f"{name} must be independent of the thin direction")
 
 
 def _planar_slabs(u: SpectralField) -> np.ndarray:
     """(3, M1, M2) coefficient slab of a z-independent field."""
-    return u.coeffs[..., u.domain.n3]
+    return u.half[..., 0]
 
 
 def _planar_derivs(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> tuple:
@@ -266,7 +265,7 @@ def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = Non
     """
     d = r.domain
     _require_planar(r, "r")
-    if float(np.max(np.abs(r.coeffs[2]))) > 1e-12 * max(float(np.max(np.abs(r.coeffs))), 1e-300):
+    if float(np.max(np.abs(r.half[2]))) > 1e-12 * max(float(np.max(np.abs(r.half))), 1e-300):
         raise ValueError("r must have zero vertical component")
     if divergence_defect(r) > 1e-10:
         raise ValueError("r must be divergence-free")

@@ -487,10 +487,11 @@ def inverse_rescale(u_tilde: SpectralField, original: DomainSpec) -> SpectralFie
     if tgt.n2 != original.n2 * n:
         raise ValueError("mode box does not match the rescaling of the original domain")
     src_n = np.arange(-original.n2, original.n2 + 1)
-    picked = u_tilde.coeffs[:, :, src_n * n + tgt.n2, :]
-    off_lattice = u_tilde.coeffs.copy()
+    coeffs = u_tilde.coeffs
+    picked = coeffs[:, :, src_n * n + tgt.n2, :]
+    off_lattice = coeffs.copy()
     off_lattice[:, :, src_n * n + tgt.n2, :] = 0.0
-    scale = float(np.max(np.abs(u_tilde.coeffs)))
+    scale = float(np.max(np.abs(coeffs)))
     if scale > 0 and float(np.max(np.abs(off_lattice))) > 1e-10 * scale:
         raise ValueError("field has off-lattice horizontal modes; not in the image of rescale")
     return SpectralField(original, picked * (original.nu / original.l1))

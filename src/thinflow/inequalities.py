@@ -44,6 +44,7 @@ from .spectral import (
     norm_ds,
     norm_l2,
     _checked_hermitian,
+    _box_sum,
     _symmetrize,
     _synth,
 )
@@ -207,7 +208,7 @@ def _grid_mag2(u: SpectralField, grid: tuple[int, int, int]) -> np.ndarray:
     weight = np.where(np.arange(n_pos) == 0, 1.0, 2.0)
     synth = np.hstack([weight * np.cos(theta), -weight * np.sin(theta)])
     mag2 = w = None
-    for comp in u.coeffs[..., u.domain.n3 :]:  # p = 0 .. n3
+    for comp in u.half:  # p = 0 .. n3
         if not comp.any():
             continue
         # from the second nonzero component on, w is one reused buffer
@@ -277,7 +278,7 @@ def _ratio_poincare(u: SpectralField, alpha: float) -> float:
 def _ratio_hausdorff_young(u: SpectralField, p: float, oversample: int) -> float:
     pprime = 1.0 if np.isinf(p) else p / (p - 1.0)
     vol_factor = 1.0 if np.isinf(p) else u.domain.volume ** (1.0 / p)
-    den = vol_factor * float(np.sum(np.abs(u.coeffs) ** pprime) ** (1.0 / pprime))
+    den = vol_factor * _box_sum(np.abs(u.half) ** pprime) ** (1.0 / pprime)
     return lp_norm(u, p, oversample) / den if den > 0 else 0.0
 
 

@@ -15,11 +15,11 @@ nonlinear evaluation costs one synthesis of the three velocity components
 and one analysis of the six products, each a c2c transform over (x, y) of
 the n3 + 1 planes p >= 0 plus a real transform along z.
 
-A step works on the p >= 0 half box throughout: the linear factors are
-built there, and advection, the Leray projection and the stage updates run
-there.  The transforms keep the half exactly Hermitian on its p = 0 plane
-and every linear factor is even in k, so steps need no re-symmetrization:
-the full box of the new field is the half's conjugate mirror, formed once.
+A step works on the field's stored p >= 0 half box throughout: the linear
+factors are built there, and advection, the Leray projection and the stage
+updates run there.  The transforms keep the half exactly Hermitian on its
+p = 0 plane and every linear factor is even in k, so steps need no
+re-symmetrization: the new half box is the new field.
 
 When every p != 0 coefficient of u is exactly zero (no tolerance), u is
 z-independent, so are its products, and the d/dz term vanishes: both
@@ -58,9 +58,7 @@ from .spectral import (
     to_spectral,
     _analyze,
     _analyze_half,
-    _divergence_defect,
     _leray_raw,
-    _mirror,
     _synth,
     _synth_half,
 )
@@ -78,10 +76,6 @@ __all__ = [
     "run",
     "cfl_estimate",
     "make_initial",
-    "mean_drift_reduce",
-    "MeanDriftReduction",
-    "translate",
-    "reconstruct_unreduced",
 ]
 
 SCHEMES = ("etd-rk2", "etd-rk4", "imex-cn")
@@ -116,23 +110,6 @@ class Modulation:
 
     def sup_abs(self) -> float:
         return 0.0 if self.kind == "off" else abs(self.amplitude)
-
-    def integral(self, t: float) -> float:
-        """Integral of the modulation from 0 to t."""
-        if self.kind == "off":
-            return 0.0
-        if self.kind == "constant":
-            return self.amplitude * t
-        return self.amplitude * (math.cos(self.phase) - math.cos(self.omega * t + self.phase)) / self.omega
-
-    def double_integral(self, t: float) -> float:
-        """Iterated integral from 0 to t of integral(s) ds."""
-        if self.kind == "off":
-            return 0.0
-        if self.kind == "constant":
-            return 0.5 * self.amplitude * t * t
-        w, ph = self.omega, self.phase
-        return self.amplitude * (t * math.cos(ph) / w - (math.sin(w * t + ph) - math.sin(ph)) / w**2)
 
 
 @dataclass(frozen=True)
@@ -178,7 +155,7 @@ class ForcingSpec:
         a = self.modulation.value(t)
         if a == 0.0:
             return None
-        return self.profile.coeffs[..., self.profile.domain.n3 :] * a
+        return self.profile.half * a
 
 
 @dataclass(frozen=True)
@@ -296,8 +273,7 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
             f"nonlinear_term requires a divergence-free field (defect {defect:.3e})"
         )
     spec = u.domain
-    half = _nonlinear_raw(u.coeffs[..., spec.n3 :], spec, default_grid(spec), None)
-    return SpectralField._wrap(spec, _mirror(half))
+    return SpectralField._wrap(spec, _nonlinear_raw(u.half, spec, default_grid(spec), None))
 
 
 class _Stepper:
@@ -378,12 +354,12 @@ def _contour_mean(integrand, z: np.ndarray) -> np.ndarray:
 _get_stepper = lru_cache(maxsize=32)(_Stepper)
 
 
-def _check_blowup(half: np.ndarray, t: float, step_no: int, threshold: float) -> None:
-    """Raise BlowUpError, with a report on the full box, unless the half box is finite and bounded."""
-    max_coeff = float(np.max(np.abs(half)))
+def _check_blowup(u: SpectralField, t: float, step_no: int, threshold: float) -> None:
+    """Raise BlowUpError, with a report on the full box, unless u is finite and bounded."""
+    max_coeff = float(np.max(np.abs(u.half)))
     if np.isfinite(max_coeff) and max_coeff <= threshold:
         return
-    coeffs = _mirror(half)
+    coeffs = u.coeffs
     finite = np.nan_to_num(coeffs, nan=0.0, posinf=0.0, neginf=0.0)
     raise BlowUpError(
         {
@@ -400,13 +376,9 @@ def step(state: RunState, forcing: ForcingSpec | None, cfg: SolverConfig) -> Run
     """Advance one step of cfg.dt, preserving mean-zero and divergence-free."""
     spec = state.u.domain
     stepper = _get_stepper(spec, cfg.dt, cfg.scheme)
-    # contiguous, because numpy's elementwise loops over the strided view are slow on small boxes
-    half = np.ascontiguousarray(state.u.coeffs[..., spec.n3 :])
-    half = stepper.advance(half, state.t, forcing)
-    _check_blowup(half, state.t + cfg.dt, state.step + 1, _BLOWUP_THRESHOLD)
-    reproject = _divergence_defect(half, spec) > _REPROJECT_TOL
-    u = SpectralField._wrap(spec, _mirror(half))
-    if reproject:
+    u = SpectralField._wrap(spec, stepper.advance(state.u.half, state.t, forcing))
+    _check_blowup(u, state.t + cfg.dt, state.step + 1, _BLOWUP_THRESHOLD)
+    if divergence_defect(u) > _REPROJECT_TOL:
         u = leray(u)
     return RunState(u=u, t=state.t + cfg.dt, step=state.step + 1)
 
@@ -415,7 +387,7 @@ def cfl_estimate(u: SpectralField) -> float:
     """Advective step bound 0.5 * min(grid spacing) / max |u| on the product grid."""
     d = u.domain
     grid = default_grid(d)
-    phys = _synth(u.coeffs, grid)
+    phys = _synth_half(u.half, grid)
     vmax = float(np.sqrt(np.max(np.sum(phys**2, axis=0))))
     h = min(d.l1 / grid[0], d.l2 / grid[1], d.eps / grid[2])
     if vmax == 0.0:
@@ -548,90 +520,3 @@ def make_initial(
     if nb == 0.0:
         raise ValueError(f"empty spectrum: {kind!r} produced a zero field")
     return base * (u_target / nb)
-
-
-# ---------------------------------------------------------------------------
-# Mean-drift reduction.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeanDriftReduction:
-    """Mean-free problem plus the translation path of the removed means.
-
-    The original solution is recovered as u(x, t) = U(x - drift(t), t)
-    + mean_velocity(t), where U solves the reduced problem.
-    """
-
-    u0: SpectralField
-    forcing: ForcingSpec
-    u_mean0: np.ndarray
-    f_mean: np.ndarray
-    modulation: Modulation
-
-    def mean_velocity(self, t: float) -> np.ndarray:
-        return self.u_mean0 + self.f_mean * self.modulation.integral(t)
-
-    def drift(self, t) -> np.ndarray:
-        """Accumulated translation (xi, eta, zeta) at time(s) t."""
-        t_arr = np.asarray(t, dtype=float)
-        single = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.empty((len(t_arr), 3))
-        for i, ti in enumerate(t_arr):
-            out[i] = self.u_mean0 * ti + self.f_mean * self.modulation.double_integral(float(ti))
-        return out[0] if single else out
-
-
-def mean_drift_reduce(
-    domain: DomainSpec,
-    u0_raw: np.ndarray,
-    f_profile_raw: np.ndarray,
-    modulation: Modulation = Modulation(kind="constant"),
-) -> MeanDriftReduction:
-    """Split off the spatial means of raw initial data and forcing.
-
-    u0_raw and f_profile_raw are coefficient arrays on the mode box whose
-    (0,0,0) mode may be nonzero (it must be real: the mean of a real field).
-    Returns the mean-free problem together with the drift path; the mean of
-    the velocity evolves as u_mean0 + f_mean * integral(modulation).
-    """
-    u0_raw = np.asarray(u0_raw, dtype=np.complex128)
-    f_profile_raw = np.asarray(f_profile_raw, dtype=np.complex128)
-    center = (domain.n1, domain.n2, domain.n3)
-    u_mean = u0_raw[(slice(None),) + center]
-    f_mean = f_profile_raw[(slice(None),) + center]
-    for name, mean in (("u0", u_mean), ("forcing", f_mean)):
-        if np.max(np.abs(mean.imag)) > 1e-12 * max(1.0, np.max(np.abs(mean))):
-            raise ValueError(f"{name} mean must be real (field must be real-valued)")
-    u0 = SpectralField(domain, u0_raw)          # construction pins the mean mode
-    profile = SpectralField(domain, f_profile_raw)
-    proj = leray(profile)
-    forcing = ForcingSpec(proj, modulation, norm_l2(proj) * modulation.sup_abs())
-    return MeanDriftReduction(
-        u0=u0,
-        forcing=forcing,
-        u_mean0=u_mean.real.copy(),
-        f_mean=f_mean.real.copy(),
-        modulation=modulation,
-    )
-
-
-def translate(f: SpectralField, shift) -> SpectralField:
-    """Evaluate the field at x + shift (spectral phase multiplication)."""
-    d = f.domain
-    s = np.asarray(shift, dtype=float)
-    k1, k2, k3 = kvec_grids(d)
-    phase = np.exp(2j * np.pi * (k1 * s[0] + k2 * s[1] + k3 * s[2]))
-    return SpectralField._wrap(d, f.coeffs * phase)
-
-
-def reconstruct_unreduced(
-    u_reduced: SpectralField, reduction: MeanDriftReduction, t: float
-) -> np.ndarray:
-    """Raw coefficients of the original (nonzero-mean) solution at time t."""
-    shifted = translate(u_reduced, -reduction.drift(t))
-    raw = shifted.coeffs.copy()
-    raw[(slice(None), u_reduced.domain.n1, u_reduced.domain.n2, u_reduced.domain.n3)] = (
-        reduction.mean_velocity(t)
-    )
-    return raw

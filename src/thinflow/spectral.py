@@ -7,19 +7,25 @@ indices |m| <= n1, |n| <= n2, |p| <= n3, following the synthesis convention
 
     u_j(x, y, z) = sum_{m,n,p} c_j(m,n,p) exp(2 pi i (m x/l1 + n y/l2 + p z/eps)).
 
-Real-valuedness is the Hermitian symmetry c(-m,-n,-p) = conj(c(m,n,p)).
+Real-valuedness is the Hermitian symmetry c(-m,-n,-p) = conj(c(m,n,p)), so
+the p >= 0 half box c[..., n3:], of shape (3, 2 n1 + 1, 2 n2 + 1, n3 + 1),
+holds all of a field's data; it is the one stored form of a SpectralField
+(``half``), and its p = 0 plane is exactly Hermitian in itself.  The full box
+(``coeffs``) is derived from it as its conjugate mirror, for the public API,
+checkpoints and tests only.
+
 Coefficients from outside (a SpectralField or planar Field2D built from a
 user array or a checkpoint) pass one checked construction, because silent
 drift would make fields complex: one symmetrizer, (c + conj(flip c)) / 2
-over the mode axes, then a defect check.  Internal transforms need no such
-repair: the one real transform pair works on the p >= 0 half box
-c[..., n3:], which determines the rest.  Synthesis embeds its n3 + 1 planes,
+over the mode axes, then a defect check.  Everything else works on the half
+box and needs no such repair.  Synthesis embeds its n3 + 1 planes,
 transforms them over (x, y) and finishes with a c2r along z; analysis runs
 an r2c along z, keeps n3 + 1 planes, transforms only those over (x, y) and
-symmetrizes the p = 0 plane.  Diagonal operators keep that half exactly
-Hermitian on its p = 0 plane, so the full box is its conjugate mirror,
-formed once where a field is made.  The (0,0,0) mode is structurally pinned
-to zero: all fields live in the mean-free reduction.
+symmetrizes the p = 0 plane.  Diagonal operators have even (or, times i,
+odd) multipliers and keep the p = 0 plane exactly Hermitian.  Reductions
+read the half box, each p > 0 plane standing for itself and its mirror.  The
+(0,0,0) mode is structurally pinned to zero: all fields live in the
+mean-free reduction.
 
 Physical frequencies are k = (m/l1, n/l2, p/eps).  The fractional derivative
 D^alpha acts as the real multiplier (2 pi |k|)^alpha; every use downstream is
@@ -196,56 +202,75 @@ def _checked_hermitian(coeffs, shape: tuple[int, ...], nd: int) -> np.ndarray:
     return sym
 
 
-class SpectralField:
-    """Immutable 3-component coefficient array on a domain's mode box.
+def _half_shape(spec: DomainSpec) -> tuple[int, int, int, int]:
+    """Shape of a field's stored half box, (3, 2 n1 + 1, 2 n2 + 1, n3 + 1)."""
+    return (3,) + spec.shape[:2] + (spec.n3 + 1,)
 
-    Construction is the checked Hermitian construction (_checked_hermitian).
-    All operations on fields are pure functions; instances are safe to share
-    across threads.
+
+class SpectralField:
+    """Immutable real 3-component field, stored as the p >= 0 half of its mode box.
+
+    ``half`` is the read-only, C-contiguous array c[j, m + n1, n + n2, p] for
+    p = 0 .. n3, whose p = 0 plane is exactly Hermitian.  ``coeffs`` is the
+    full box c[j, m + n1, n + n2, p + n3], the half's conjugate mirror, made
+    afresh (read-only) on each access.  SpectralField(domain, coeffs) takes a
+    full box through the checked Hermitian construction (_checked_hermitian)
+    and keeps its half.  All operations on fields are pure functions;
+    instances are safe to share across threads.
     """
 
-    __slots__ = ("domain", "coeffs")
+    __slots__ = ("domain", "half")
 
     def __init__(self, domain: DomainSpec, coeffs: np.ndarray):
+        sym = _checked_hermitian(coeffs, (3,) + domain.shape, 3)
+        half = np.ascontiguousarray(sym[..., domain.n3 :])
+        half.flags.writeable = False
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", _checked_hermitian(coeffs, (3,) + domain.shape, 3))
+        object.__setattr__(self, "half", half)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralField is immutable")
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full mode box, mirrored from the half box (a new read-only array)."""
+        full = _mirror(self.half)
+        full.flags.writeable = False
+        return full
+
     @classmethod
-    def _wrap(cls, domain: DomainSpec, sym: np.ndarray) -> "SpectralField":
-        """Fast path for arrays already exactly Hermitian (internal use).
+    def _wrap(cls, domain: DomainSpec, half: np.ndarray) -> "SpectralField":
+        """Fast path for a half box whose p = 0 plane is exactly Hermitian (internal use).
 
         Takes ownership: callers pass an array they have just made, frozen in place.
         """
         out = object.__new__(cls)
-        arr = np.ascontiguousarray(sym, dtype=np.complex128)
-        arr[:, domain.n1, domain.n2, domain.n3] = 0.0
+        arr = np.ascontiguousarray(half, dtype=np.complex128)
+        arr[:, domain.n1, domain.n2, 0] = 0.0
         arr.flags.writeable = False
         object.__setattr__(out, "domain", domain)
-        object.__setattr__(out, "coeffs", arr)
+        object.__setattr__(out, "half", arr)
         return out
 
     @classmethod
     def zeros(cls, domain: DomainSpec) -> "SpectralField":
-        return cls._wrap(domain, np.zeros((3,) + domain.shape, dtype=np.complex128))
+        return cls._wrap(domain, np.zeros(_half_shape(domain), dtype=np.complex128))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same(other)
-        return SpectralField._wrap(self.domain, self.coeffs + other.coeffs)
+        return SpectralField._wrap(self.domain, self.half + other.half)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same(other)
-        return SpectralField._wrap(self.domain, self.coeffs - other.coeffs)
+        return SpectralField._wrap(self.domain, self.half - other.half)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField._wrap(self.domain, self.coeffs * float(scalar))
+        return SpectralField._wrap(self.domain, self.half * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField._wrap(self.domain, -self.coeffs)
+        return SpectralField._wrap(self.domain, -self.half)
 
     def _check_same(self, other: "SpectralField") -> None:
         if self.domain != other.domain:
@@ -371,7 +396,7 @@ def to_physical(f: SpectralField, grid: tuple[int, int, int] | None = None) -> n
         grid = default_grid(f.domain)
     grid = tuple(int(g) for g in grid)
     _check_grid(f.domain, grid)
-    return _synth(f.coeffs, grid)
+    return _synth_half(f.half, grid)
 
 
 def to_spectral(samples: np.ndarray, domain: DomainSpec) -> SpectralField:
@@ -380,39 +405,51 @@ def to_spectral(samples: np.ndarray, domain: DomainSpec) -> SpectralField:
     if samples.ndim != 4 or samples.shape[0] != 3:
         raise ValueError("samples must have shape (3, N1, N2, N3)")
     _check_grid(domain, samples.shape[1:])
-    return SpectralField._wrap(domain, _analyze(samples, (domain.n1, domain.n2, domain.n3)))
+    return SpectralField._wrap(domain, _analyze_half(samples, (domain.n1, domain.n2, domain.n3)))
 
 
 def _ds_multiplier(spec: DomainSpec, alpha: float) -> np.ndarray:
+    """(2 pi |k|)^alpha over the p >= 0 half box."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    ksq = ksq_grid(spec)
+    ksq = ksq_grid(spec)[..., spec.n3 :]
     with np.errstate(divide="ignore"):
         mult = (2.0 * np.pi) ** alpha * ksq ** (alpha / 2.0)
     # 0^0 = 1 under numpy; the zero mode must stay pinned regardless of alpha.
-    mult[spec.n1, spec.n2, spec.n3] = 0.0 if alpha > 0 else 1.0
+    mult[spec.n1, spec.n2, 0] = 0.0 if alpha > 0 else 1.0
     return mult
+
+
+def _box_sum(a: np.ndarray) -> float:
+    """Sum over the full mode box of a real quantity even in k, given on the half box.
+
+    The p < 0 planes are the p > 0 ones flipped over the mode axes.  The sum
+    runs over them in the full box's storage order, so it rounds as a sum
+    over the full box does: a weighted half-box sum moves norms by an ulp,
+    and with them the normalization of make_initial's fields.
+    """
+    return float(np.sum(np.concatenate([np.flip(a[..., 1:], axis=(-3, -2, -1)), a], axis=-1)))
 
 
 def deriv(f: SpectralField, alpha: float) -> SpectralField:
     """Fractional derivative: scale each mode by (2 pi |k|)^alpha."""
-    return SpectralField._wrap(f.domain, f.coeffs * _ds_multiplier(f.domain, alpha))
+    return SpectralField._wrap(f.domain, f.half * _ds_multiplier(f.domain, alpha))
 
 
 def norm_l2(f: SpectralField) -> float:
     """L2 norm by Parseval: ||f||_2^2 = l1 l2 eps * sum |c|^2."""
-    return float(np.sqrt(f.domain.volume * np.sum(np.abs(f.coeffs) ** 2)))
+    return float(np.sqrt(f.domain.volume * _box_sum(np.abs(f.half) ** 2)))
 
 
 def norm_ds(f: SpectralField, alpha: float) -> float:
     """||D^alpha f||_2 without materializing the derivative field."""
     mult = _ds_multiplier(f.domain, alpha)
-    return float(np.sqrt(f.domain.volume * np.sum(mult**2 * np.abs(f.coeffs) ** 2)))
+    return float(np.sqrt(f.domain.volume * _box_sum(mult**2 * np.abs(f.half) ** 2)))
 
 
 def inner_l2(f: SpectralField, g: SpectralField) -> float:
     f._check_same(g)
-    return float(f.domain.volume * np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
+    return f.domain.volume * _box_sum(np.real(f.half * np.conj(g.half)))
 
 
 def h1_norm(f: SpectralField) -> float:
@@ -457,36 +494,34 @@ def _leray_raw(half: np.ndarray, spec: DomainSpec) -> np.ndarray:
 
 def leray(f: SpectralField) -> SpectralField:
     """Orthogonal projection onto divergence-free fields, mode by mode."""
-    half = _leray_raw(f.coeffs[..., f.domain.n3 :], f.domain)
-    return SpectralField._wrap(f.domain, _mirror(half))
+    return SpectralField._wrap(f.domain, _leray_raw(f.half, f.domain))
 
 
 def proj_p(f: SpectralField) -> SpectralField:
     """Vertical average: keep only the p = 0 modes."""
-    out = np.zeros_like(f.coeffs)
-    n3 = f.domain.n3
-    out[..., n3] = f.coeffs[..., n3]
+    out = np.zeros_like(f.half)
+    out[..., 0] = f.half[..., 0]
     return SpectralField._wrap(f.domain, out)
 
 
 def proj_q(f: SpectralField) -> SpectralField:
     """Oscillatory part in the thin direction: zero the p = 0 modes."""
-    out = f.coeffs.copy()
-    out[..., f.domain.n3] = 0.0
+    out = f.half.copy()
+    out[..., 0] = 0.0
     return SpectralField._wrap(f.domain, out)
 
 
 def proj_r(f: SpectralField) -> SpectralField:
     """Horizontal components (u1, u2, 0)."""
-    out = f.coeffs.copy()
+    out = f.half.copy()
     out[2] = 0.0
     return SpectralField._wrap(f.domain, out)
 
 
 def proj_s(f: SpectralField) -> SpectralField:
     """Vertical component (0, 0, u3)."""
-    out = np.zeros_like(f.coeffs)
-    out[2] = f.coeffs[2]
+    out = np.zeros_like(f.half)
+    out[2] = f.half[2]
     return SpectralField._wrap(f.domain, out)
 
 
@@ -499,41 +534,37 @@ def truncate(f: SpectralField, spec: DomainSpec) -> SpectralField:
     """
     if not f.domain.same_geometry(spec):
         raise ValueError("truncate requires matching box geometry")
-    out = np.zeros((3,) + spec.shape, dtype=np.complex128)
+    out = np.zeros(_half_shape(spec), dtype=np.complex128)
     w1 = min(f.domain.n1, spec.n1)
     w2 = min(f.domain.n2, spec.n2)
     w3 = min(f.domain.n3, spec.n3)
-    src = f.coeffs[
+    src = f.half[
         :,
         f.domain.n1 - w1 : f.domain.n1 + w1 + 1,
         f.domain.n2 - w2 : f.domain.n2 + w2 + 1,
-        f.domain.n3 - w3 : f.domain.n3 + w3 + 1,
+        : w3 + 1,
     ]
     out[
         :,
         spec.n1 - w1 : spec.n1 + w1 + 1,
         spec.n2 - w2 : spec.n2 + w2 + 1,
-        spec.n3 - w3 : spec.n3 + w3 + 1,
+        : w3 + 1,
     ] = src
     return SpectralField._wrap(spec, out)
 
 
-def _divergence_defect(half: np.ndarray, spec: DomainSpec) -> float:
-    """divergence_defect of the field whose p >= 0 half box is half.
+def divergence_defect(f: SpectralField) -> float:
+    """max over modes of |k . c| / (|k| |c|); 0 for the zero field.
 
-    Mirrored modes have equal ratios, so the half gives the full box's value.
+    Mirrored modes have equal ratios, so the half box gives the full box's value.
     """
+    spec, half = f.domain, f.half
     k1, k2, k3 = kvec_grids(spec)
     kdotu = np.abs(k1 * half[0] + k2 * half[1] + k3[..., spec.n3 :] * half[2])
     umag = np.sqrt(np.sum(np.abs(half) ** 2, axis=0))
     denom = _half_kmag(spec) * umag
     # ratios are >= 0, so the zeros left where denom == 0 (all of it for the zero field) change no max
     return float(np.max(np.divide(kdotu, denom, out=np.zeros_like(kdotu), where=denom > 0)))
-
-
-def divergence_defect(f: SpectralField) -> float:
-    """max over modes of |k . c| / (|k| |c|); 0 for the zero field."""
-    return _divergence_defect(f.coeffs[..., f.domain.n3 :], f.domain)
 
 
 def random_field(

@@ -77,9 +77,10 @@ class TestConfigParsing:
         assert meta["t_end"] == 0.02
 
     def test_no_subcommand_usage(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([])
-        assert exc.value.code == 2
+        for argv in ([], ["render"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
 
     def test_unknown_kind_is_config_error(self, tmp_path, capsys):
         rc = run_cli([
@@ -281,19 +282,6 @@ class TestRescaleAndThresholds:
             "thresholds", "--out", str(tmp_path / "x"), "--set", "eps_list=1.5",
         ])
         assert rc == cli.EXIT_CONFIG
-
-
-class TestRunScenarioApi:
-    def test_load_and_run(self, planar_cfg, tmp_path):
-        values = cli.parse_config_file(planar_cfg)
-        values.update(out=str(tmp_path / "api"), t_end="0.02")
-        cfg = cli.ExperimentConfig("simulate", values)
-        assert cli.run_scenario(cfg) == cli.EXIT_OK
-        assert (tmp_path / "api" / "diagnostics.csv").exists()
-
-    def test_unknown_scenario(self):
-        with pytest.raises(cli.ConfigError, match="scenario"):
-            cli.ExperimentConfig("render", {})
 
 
 class TestEntryPoint:

@@ -3,7 +3,8 @@
 The draws cover l1 > l2, n1 != n2, n3 = 1 and odd and even grids.  Each
 property is checked against an independent computation: a numpy.fft c2c
 synthesis, scipy's multi-axis real transforms, closed forms of the
-exponential-integrator weights, or an exact algebraic identity.
+exponential-integrator weights, sums over the full mode box, or an exact
+algebraic identity.
 """
 
 import math
@@ -11,9 +12,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
+from thinflow import diagnostics as dg
 from thinflow import gronwall as gw
 from thinflow import solver as sv
 from thinflow import spectral as sp
@@ -225,3 +228,50 @@ def test_projection_identities(domain, seed):
     assert np.array_equal(P(Q(f)).coeffs, zero)
     assert np.array_equal(R(S(f)).coeffs, zero)
     assert np.array_equal(P(R(f)).coeffs, R(P(f)).coeffs)
+
+
+def _full_box_functionals(u: sp.SpectralField) -> tuple:
+    """sample_functionals' row written out as sums over the full mode box."""
+    d = u.domain
+    abs2 = np.abs(u.coeffs) ** 2
+    ksq = sp.ksq_grid(d)
+    planar = np.zeros_like(abs2)
+    planar[..., d.n3] = abs2[..., d.n3]
+
+    def sq(part, power):
+        return d.volume * float(np.sum((2 * np.pi) ** (2 * power) * ksq**power * part))
+
+    theta2 = d.volume * float(np.sum(abs2))
+    dr2, ds2, dw2 = sq(planar[:2], 1), sq(planar[2], 1), sq(abs2 - planar, 1)
+    d2r2, d2s2, d2w2 = sq(planar[:2], 2), sq(planar[2], 2), sq(abs2 - planar, 2)
+    du2, d2u2 = dr2 + ds2 + dw2, d2r2 + d2s2 + d2w2
+    return tuple(np.sqrt([
+        theta2, dr2 + dw2, ds2 + dw2, d2r2 + d2w2, d2s2 + d2w2, d2w2,
+        theta2 + du2, theta2 + du2 + d2u2, dr2, ds2, d2r2, d2s2,
+    ]))
+
+
+@drawn
+@given(domain=domains(), seed=seeds)
+@example(domain=sp.DomainSpec(l1=1.5, l2=1.0, eps=0.1, nu=1.0, n1=3, n2=2, n3=1), seed=0)
+def test_half_box_reductions_equal_full_box_sums(domain, seed):
+    """Norms, inner products and diagnostics read from the stored half box
+    equal the same sums written over the full box."""
+    rng = np.random.default_rng(seed)
+    c = hermitian(rng, (3,) + domain.shape, 3)
+    c[:, domain.n1, domain.n2, domain.n3] = 0.0
+    f = sp.SpectralField(domain, c)
+    assert np.array_equal(f.coeffs, c)
+    g = sp.random_field(domain, rng, slope=-1.0)
+    vol = domain.volume
+    assert sp.norm_l2(f) == pytest.approx(np.sqrt(vol * np.sum(np.abs(c) ** 2)), rel=1e-13)
+    for alpha in (0.5, 1.0, 2.0):
+        mult = (2 * np.pi) ** alpha * sp.ksq_grid(domain) ** (alpha / 2)
+        ref = np.sqrt(vol * np.sum(mult**2 * np.abs(c) ** 2))
+        assert sp.norm_ds(f, alpha) == pytest.approx(ref, rel=1e-13)
+    inner = vol * np.real(np.sum(c * np.conj(g.coeffs)))
+    assert abs(sp.inner_l2(f, g) - inner) <= 1e-13 * sp.norm_l2(f) * sp.norm_l2(g)
+    for u in (f, sp.proj_p(f)):
+        np.testing.assert_allclose(
+            dg.sample_functionals(u), _full_box_functionals(u), rtol=1e-13, atol=0
+        )

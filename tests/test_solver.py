@@ -1,4 +1,4 @@
-"""Tests for time integration: exact decay, order, conservation, reductions."""
+"""Tests for time integration: exact decay, order, conservation, layout."""
 
 import math
 
@@ -286,91 +286,31 @@ class TestMakeInitial:
             sv.make_initial(d, "vortex-sheet", u_target=0.1)
 
 
-class TestMeanDriftReduction:
-    def test_trivial_reduction(self, rng):
+class TestHalfBoxLayout:
+    def test_run_never_builds_the_full_box(self, monkeypatch, tmp_path):
+        """Steps, diagnostics and forcing work on the stored half box; only a
+        checkpoint mirrors it into the full box, once each."""
+        mirror = sp._mirror
+        built = []
+
+        def counting(half, nd=3):
+            if nd == 3:  # the planar slab path mirrors a 2D slab, not a box
+                built.append(half.shape)
+            return mirror(half, nd)
+
+        monkeypatch.setattr(sp, "_mirror", counting)
+        monkeypatch.setattr(sv, "_mirror", counting, raising=False)  # a solver-local import too
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
-        u0 = sp.leray(sp.random_field(d, rng))
-        f = sp.leray(sp.random_field(d, rng))
-        red = sv.mean_drift_reduce(d, u0.coeffs, f.coeffs, sv.Modulation(kind="constant"))
-        np.testing.assert_allclose(red.drift(2.0), 0.0, atol=0)
-        np.testing.assert_allclose(red.u0.coeffs, u0.coeffs, atol=0)
-
-    def test_constant_forcing_mean_gives_quadratic_drift(self, rng):
-        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
-        f_raw = sp.leray(sp.random_field(d, rng)).coeffs.copy()
-        a = 0.75
-        f_raw[0, d.n1, d.n2, d.n3] = a
-        u_raw = sp.leray(sp.random_field(d, rng)).coeffs
-        red = sv.mean_drift_reduce(d, u_raw, f_raw, sv.Modulation(kind="constant"))
-        t = 1.3
-        np.testing.assert_allclose(red.drift(t), [a * t**2 / 2, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(red.mean_velocity(t), [a * t, 0.0, 0.0], atol=1e-15)
-        # the reduced forcing is mean-free
-        assert np.max(np.abs(red.forcing.profile.coeffs[:, d.n1, d.n2, d.n3])) == 0.0
-
-    def test_initial_mean_gives_linear_drift(self, rng):
-        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
-        u_raw = sp.leray(sp.random_field(d, rng)).coeffs.copy()
-        u_raw[1, d.n1, d.n2, d.n3] = 0.25
-        f_raw = np.zeros_like(u_raw)
-        red = sv.mean_drift_reduce(d, u_raw, f_raw, sv.Modulation(kind="off"))
-        np.testing.assert_allclose(red.drift(2.0), [0.0, 0.5, 0.0], atol=1e-15)
-
-    def test_complex_mean_rejected(self, rng):
-        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
-        u_raw = sp.leray(sp.random_field(d, rng)).coeffs.copy()
-        u_raw[0, d.n1, d.n2, d.n3] = 1j
-        with pytest.raises(ValueError, match="mean must be real"):
-            sv.mean_drift_reduce(d, u_raw, np.zeros_like(u_raw))
-
-    def test_reconstruction_solves_original_equation(self):
-        """One-step residual of the translated-back solution in the raw frame.
-
-        With a spatially uniform forcing mean and mean-free fluctuation, the
-        reduced run plus the drift reconstruction must satisfy the original
-        evolution: check d/dt u ~ RHS(u) at t via centered differences.
-        """
-        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=0.05, n1=6, n2=6, n3=2)
-        u0 = sv.make_initial(d, "random-divfree", u_target=0.2, seed=8)
-        u_raw = u0.coeffs.copy()
-        u_raw[0, d.n1, d.n2, d.n3] = 0.3  # nonzero initial mean
-        f_raw = np.zeros_like(u_raw)
-        f_raw[1, d.n1, d.n2, d.n3] = 0.1  # purely uniform forcing
-        red = sv.mean_drift_reduce(d, u_raw, f_raw, sv.Modulation(kind="constant"))
-
-        dt = 2e-4  # the stiffest modes' decay curvature limits the stencil
-        cfg = sv.SolverConfig(dt=dt, t_end=3 * dt, scheme="etd-rk4", diag_stride=1)
-        states = [sv.RunState(u=red.u0, t=0.0, step=0)]
-        for _ in range(3):
-            states.append(sv.step(states[-1], red.forcing, cfg))
-
-        # reconstruct at t1 and its neighbors, then compare the time
-        # derivative with the right side evaluated on the reconstruction
-        recon = [sv.reconstruct_unreduced(s.u, red, s.t) for s in states]
-        dudt = (recon[2] - recon[0]) / (2 * dt)
-        mid = recon[1]
-        mean_mid = mid[:, d.n1, d.n2, d.n3].real
-        fluct = mid.copy()
-        fluct[:, d.n1, d.n2, d.n3] = 0.0
-        u_mid = sp.SpectralField(d, fluct)
-        lap = sp.deriv(u_mid, 2.0) * (-d.nu)
-        # advection by the full field includes the uniform sweep mean . grad u
-        k1, k2, k3 = sp.kvec_grids(d)
-        sweep = 2j * np.pi * (
-            k1 * mean_mid[0] + k2 * mean_mid[1] + k3 * mean_mid[2]
-        ) * u_mid.coeffs
-        rhs_fluct = (lap + sv.nonlinear_term(u_mid)).coeffs - sweep
-        rhs = rhs_fluct.copy()
-        rhs[:, d.n1, d.n2, d.n3] = f_raw[:, d.n1, d.n2, d.n3].real
-        resid = np.max(np.abs(dudt - rhs))
-        scale = np.max(np.abs(rhs))
-        assert resid <= 5e-4 * scale  # centered-difference floor O(dt^2)
-
-    def test_translate_phase(self, rng):
-        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
-        f = sp.random_field(d, rng)
-        shifted = sv.translate(f, (0.25, 0.0, 0.0))
-        grid = (16, 14, 5)  # the shift is exactly 4 cells on this grid
-        a = sp.to_physical(shifted, grid)
-        b = np.roll(sp.to_physical(f, grid), -4, axis=1)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        profile = sv.make_initial(d, "z-independent", u_target=1.0, seed=2)
+        forcing = sv.ForcingSpec.steady(profile, amplitude=0.02)
+        for kind in ("q-perturbed", "z-independent"):
+            u0 = sv.make_initial(d, kind, u_target=0.1, seed=1)
+            for scheme in sv.SCHEMES:
+                built.clear()
+                res = sv.run(u0, forcing, sv.SolverConfig(dt=1e-3, t_end=5e-3, scheme=scheme))
+                assert res.final_state is not None
+                assert built == [], (kind, scheme)
+        built.clear()
+        cfg = sv.SolverConfig(dt=1e-3, t_end=6e-3, checkpoint_stride=2)
+        res = sv.run(u0, forcing, cfg, out_dir=tmp_path)
+        assert len(res.checkpoints) == len(built) == 4

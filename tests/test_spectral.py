@@ -323,13 +323,13 @@ class TestIntegrationByParts:
             k1, k2, k3 = sp.kvec_grids(d)
             two_pi_i = 2j * np.pi
             fx = sp.to_physical(
-                sp.SpectralField._wrap(d, two_pi_i * k1 * f.coeffs), grid
+                sp.SpectralField(d, two_pi_i * k1 * f.coeffs), grid
             )[0]
             fy = sp.to_physical(
-                sp.SpectralField._wrap(d, two_pi_i * k2 * f.coeffs), grid
+                sp.SpectralField(d, two_pi_i * k2 * f.coeffs), grid
             )[0]
             fz = sp.to_physical(
-                sp.SpectralField._wrap(d, two_pi_i * k3 * f.coeffs), grid
+                sp.SpectralField(d, two_pi_i * k3 * f.coeffs), grid
             )[0]
             integrand = f_phys * (u_phys[0] * fx + u_phys[1] * fy + u_phys[2] * fz)
             integral = d.volume * float(np.mean(integrand))
