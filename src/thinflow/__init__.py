@@ -7,6 +7,7 @@ solver         Galerkin time integration, forcing, initial data
 diagnostics    norm functionals, identity checks, inequality fitting
 inequalities   empirical constants for the functional inequalities
 gronwall       comparison-ODE envelopes, rescaling, literature thresholds
+artifacts      the JSON/CSV artifact formats, records from dataclass fields
 cli            experiment orchestration (``thinflow`` entry point)
 """
 

@@ -4,9 +4,11 @@ Subcommands: simulate | sweep | estimate-constants | verify-inequalities |
 rescale-check | thresholds.  Configuration is a plain-text key=value file
 (``#`` comments allowed); any value can be overridden on the command line
 with repeated ``--set key=value`` flags, which is what scripted sweeps use.
-Every scenario writes its artifacts (CSV/JSON as documented per module) plus
-a manifest.json carrying the resolved config, its hash, package versions and
-wall time.  All randomness flows from the single ``seed`` key, so identical
+Every scenario writes its artifacts (CSV/JSON in the formats of
+thinflow.artifacts) plus a manifest.json carrying the resolved config, its
+hash, package versions and wall time.  Each command takes the config and the
+output directory and returns its exit code and artifact names; main writes
+the manifest.  All randomness flows from the single ``seed`` key, so identical
 config and seed reproduce identical CSV/JSON artifact bytes (manifests carry
 wall time and are exempt).  The default output root is the THINFLOW_OUT_ROOT
 environment variable, falling back to ./thinflow-out.
@@ -34,6 +36,7 @@ from . import gronwall as gw
 from . import inequalities as iq
 from . import solver as sv
 from . import spectral as sp
+from .artifacts import record, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,9 +101,12 @@ def _float_list(cfg: dict, key: str, required: bool = False, default=None):
             raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
-        return [float(v) for v in raw.split(",") if v.strip()]
+        values = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: expected comma-separated floats") from exc
+    if not values:
+        raise ConfigError(f"config key {key!r}: expected at least one value")
+    return values
 
 
 def _domain_from(cfg: dict) -> sp.DomainSpec:
@@ -129,7 +135,7 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _write_manifest(out: str, scenario: str, cfg: dict, artifacts: list[str], t0: float) -> None:
-    manifest = {
+    write_json(os.path.join(out, "manifest.json"), {
         "scenario": scenario,
         "config": dict(sorted(cfg.items())),
         "config_hash": _config_hash(cfg),
@@ -138,9 +144,7 @@ def _write_manifest(out: str, scenario: str, cfg: dict, artifacts: list[str], t0
         "scipy_version": scipy.__version__,
         "wall_time_s": time.time() - t0,
         "artifacts": sorted(artifacts),
-    }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    })
 
 
 def _build_forcing(cfg: dict, domain: sp.DomainSpec, rng: np.random.Generator) -> sv.ForcingSpec:
@@ -168,7 +172,7 @@ def _build_forcing(cfg: dict, domain: sp.DomainSpec, rng: np.random.Generator) -
     raise ConfigError(f"config key 'forcing.kind': unknown kind {kind!r}")
 
 
-def _simulate_impl(cfg: dict, out: str) -> tuple[sv.RunResult, dict, list[str]]:
+def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
     if "dealias" in cfg:
         raise ConfigError(
             "config key 'dealias' was removed: products are always formed on the "
@@ -195,11 +199,8 @@ def _simulate_impl(cfg: dict, out: str) -> tuple[sv.RunResult, dict, list[str]]:
         enforce_cfl=_coerce(cfg, "enforce_cfl", bool, default=True),
     )
     result = sv.run(u0, forcing, run_cfg, out_dir=out, run_id="run")
-    artifacts = []
-    diag_path = os.path.join(out, "diagnostics.csv")
-    result.series.to_csv(diag_path)
-    artifacts.append("diagnostics.csv")
-    meta = {
+    result.series.to_csv(os.path.join(out, "diagnostics.csv"))
+    write_json(os.path.join(out, "run_meta.json"), {
         "U": sp.h1_norm(u0),
         "F": forcing.f_bound,
         "M": max(sp.h1_norm(u0), (domain.l1 / domain.nu) * forcing.f_bound),
@@ -212,40 +213,24 @@ def _simulate_impl(cfg: dict, out: str) -> tuple[sv.RunResult, dict, list[str]]:
         "t_end": run_cfg.t_end,
         "seed": seed,
         "blowup": result.blowup,
-    }
-    with open(os.path.join(out, "run_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    artifacts.append("run_meta.json")
+    })
+    artifacts = ["diagnostics.csv", "run_meta.json"]
     if result.final_state is not None:
-        final_path = os.path.join(out, "run_final.ckpt")
         sp.save_checkpoint(
-            result.final_state.u, final_path,
+            result.final_state.u, os.path.join(out, "run_final.ckpt"),
             time=result.final_state.t, step=result.final_state.step,
         )
         artifacts.append("run_final.ckpt")
     artifacts += [os.path.basename(p) for p in result.checkpoints]
-    return result, meta, artifacts
-
-
-def cmd_simulate(cfg: dict) -> int:
-    t0 = time.time()
-    out = _out_dir(cfg, "simulate")
-    result, meta, artifacts = _simulate_impl(cfg, out)
     if result.blew_up:
-        with open(os.path.join(out, "blowup.json"), "w") as fh:
-            json.dump(result.blowup, fh, indent=2, sort_keys=True)
-        artifacts.append("blowup.json")
-        _write_manifest(out, "simulate", cfg, artifacts, t0)
+        write_json(os.path.join(out, "blowup.json"), result.blowup)
         print(f"blow-up at t={result.blowup['time']:.6g}; forensic dump in {out}/blowup.json")
-        return EXIT_BLOWUP
-    _write_manifest(out, "simulate", cfg, artifacts, t0)
+        return EXIT_BLOWUP, artifacts + ["blowup.json"]
     print(f"simulate: {len(result.series)} samples -> {out}")
-    return EXIT_OK
+    return EXIT_OK, artifacts
 
 
-def cmd_verify_inequalities(cfg: dict) -> int:
-    t0 = time.time()
-    out = _out_dir(cfg, "verify-inequalities")
+def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
     in_dir = cfg.get("in")
     if in_dir is None:
         raise ConfigError("missing required config key 'in' (a simulate output directory)")
@@ -254,8 +239,7 @@ def cmd_verify_inequalities(cfg: dict) -> int:
         meta = json.load(fh)
     if meta.get("blowup"):
         raise ConfigError("input run blew up; nothing to verify")
-    dom = meta["domain"]
-    domain = sp.DomainSpec(**dom)
+    domain = sp.DomainSpec(**meta["domain"])
     regime = cfg.get("regime", "planar")
     regimes = list(dg.REGIMES) if regime == "all" else [regime]
     slack_rel = _coerce(cfg, "slack_rel", float, default=1e-6)
@@ -269,16 +253,15 @@ def cmd_verify_inequalities(cfg: dict) -> int:
         trace_name = f"residual_traces_{reg}.csv"
         dg.write_residual_traces(reports, os.path.join(out, trace_name))
         artifacts.append(trace_name)
-    dg.reports_to_json(all_reports, os.path.join(out, "inequality_reports.json"))
-    artifacts.append("inequality_reports.json")
-
+    write_json(
+        os.path.join(out, "inequality_reports.json"), [r.to_dict() for r in all_reports]
+    )
     bounds = dg.evaluate_regularity_bounds(
         series, U=meta["U"], F=meta["F"], l1=domain.l1, l2=domain.l2,
         nu=domain.nu, eps=domain.eps,
     )
-    with open(os.path.join(out, "regularity_bounds.json"), "w") as fh:
-        json.dump(bounds.to_dict(), fh, indent=2, sort_keys=True)
-    artifacts.append("regularity_bounds.json")
+    write_json(os.path.join(out, "regularity_bounds.json"), bounds.to_dict())
+    artifacts += ["inequality_reports.json", "regularity_bounds.json"]
 
     # the envelope needs one of the two system regimes (the split per-quantity
     # inequalities alone do not assemble into a comparison system)
@@ -291,18 +274,36 @@ def cmd_verify_inequalities(cfg: dict) -> int:
         env = gw.solve_envelope(system, horizon=float(series.times[-1]), times=series.times)
         containment = gw.check_trajectory(series, system)
         env.to_csv(os.path.join(out, "envelope.csv"))
-        gw.envelope_report_json(env, containment, os.path.join(out, "containment.json"))
+        write_json(os.path.join(out, "containment.json"), {
+            "containment": containment.to_dict(),
+            "psi_peak_bound": env.psi_peak_bound,
+            "psi_tail_bound": env.psi_tail_bound,
+            "dissipation_integral": env.dissipation_integral,
+            "derived_constants": env.constants,
+            "system": record(env.system),
+        })
         artifacts += ["envelope.csv", "containment.json"]
 
-    _write_manifest(out, "verify-inequalities", cfg, artifacts, t0)
     n_pass = sum(r.passed for r in all_reports)
     print(f"verify-inequalities: {n_pass}/{len(all_reports)} pass -> {out}")
-    return EXIT_OK if n_pass == len(all_reports) else 1
+    return (EXIT_OK if n_pass == len(all_reports) else 1), artifacts
 
 
-def cmd_estimate_constants(cfg: dict) -> int:
-    t0 = time.time()
-    out = _out_dir(cfg, "estimate-constants")
+def _write_estimate(
+    est: iq.ConstantEstimate, domain: sp.DomainSpec, out: str, extra: dict | None = None
+) -> None:
+    """maximizer.ckpt (a planar maximizer embedded in 3D) and estimate.json in out."""
+    maximizer = est.maximizer
+    if isinstance(maximizer, iq.Field2D):
+        maximizer = maximizer.embed(eps=domain.eps, nu=domain.nu)
+    sp.save_checkpoint(maximizer, os.path.join(out, "maximizer.ckpt"), extra=extra)
+    write_json(
+        os.path.join(out, "estimate.json"),
+        est.to_dict() | {"maximizer_checkpoint": "maximizer.ckpt"},
+    )
+
+
+def cmd_estimate_constants(cfg: dict, out: str) -> tuple[int, list[str]]:
     domain = _domain_from(cfg)
     inequality = cfg.get("inequality")
     if inequality is None:
@@ -316,23 +317,13 @@ def cmd_estimate_constants(cfg: dict) -> int:
         alpha=_coerce(cfg, "alpha", float, default=1.0),
         p=_coerce(cfg, "p", float, default=4.0),
     )
-    maximizer = est.maximizer
-    if isinstance(maximizer, iq.Field2D):
-        maximizer = maximizer.embed(eps=domain.eps, nu=domain.nu)
-    ckpt = os.path.join(out, "maximizer.ckpt")
-    sp.save_checkpoint(maximizer, ckpt, extra={"inequality": inequality})
-    iq.estimate_to_json(est, os.path.join(out, "estimate.json"), maximizer_ref="maximizer.ckpt")
+    _write_estimate(est, domain, out, extra={"inequality": inequality})
     iq.write_sweep_csv(os.path.join(out, "ratios.csv"), [domain.eps], [est])
-    _write_manifest(
-        out, "estimate-constants", cfg, ["estimate.json", "maximizer.ckpt", "ratios.csv"], t0
-    )
     print(f"estimate-constants[{inequality}]: max ratio {est.max_ratio:.6g} -> {out}")
-    return EXIT_OK
+    return EXIT_OK, ["estimate.json", "maximizer.ckpt", "ratios.csv"]
 
 
-def cmd_sweep(cfg: dict) -> int:
-    t0 = time.time()
-    out = _out_dir(cfg, "sweep")
+def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
     inequality = cfg.get("inequality", "thin-sup")
     eps_values = _float_list(cfg, "eps_list", required=True)
     l1 = _coerce(cfg, "l1", float, default=4.0)
@@ -354,11 +345,7 @@ def cmd_sweep(cfg: dict) -> int:
         )
         sub = os.path.join(out, f"eps_{eps:g}")
         os.makedirs(sub, exist_ok=True)
-        maximizer = est.maximizer
-        if isinstance(maximizer, iq.Field2D):
-            maximizer = maximizer.embed(eps=eps, nu=1.0)
-        sp.save_checkpoint(maximizer, os.path.join(sub, "maximizer.ckpt"))
-        iq.estimate_to_json(est, os.path.join(sub, "estimate.json"), maximizer_ref="maximizer.ckpt")
+        _write_estimate(est, domain, sub)
         return est
 
     if parallelism > 1:
@@ -369,23 +356,18 @@ def cmd_sweep(cfg: dict) -> int:
 
     iq.write_sweep_csv(os.path.join(out, "sweep.csv"), eps_values, estimates)
     fit = iq.fit_eps_scaling(inequality, eps_values, estimates)
-    with open(os.path.join(out, "scaling_fit.json"), "w") as fh:
-        json.dump(fit.to_dict(), fh, indent=2, sort_keys=True)
-    artifacts = ["sweep.csv", "scaling_fit.json"] + [
-        f"eps_{e:g}/estimate.json" for e in eps_values
-    ]
-    _write_manifest(out, "sweep", cfg, artifacts, t0)
+    write_json(os.path.join(out, "scaling_fit.json"), fit.to_dict())
     print(
         f"sweep[{inequality}]: slope {fit.slope:.4f}"
         + (f" (expected {fit.expected_slope})" if fit.expected_slope else "")
         + f" -> {out}"
     )
-    return EXIT_OK
+    return EXIT_OK, ["sweep.csv", "scaling_fit.json"] + [
+        f"eps_{e:g}/estimate.json" for e in eps_values
+    ]
 
 
-def cmd_rescale_check(cfg: dict) -> int:
-    t0 = time.time()
-    out = _out_dir(cfg, "rescale-check")
+def cmd_rescale_check(cfg: dict, out: str) -> tuple[int, list[str]]:
     domain = _domain_from(cfg)
     seed = _coerce(cfg, "seed", int, default=0)
     rng = np.random.default_rng(seed)
@@ -395,7 +377,7 @@ def cmd_rescale_check(cfg: dict) -> int:
     res = gw.rescale(u, f)
     back = gw.inverse_rescale(res.u_tilde, domain)
     roundtrip = sp.norm_l2(back - u) / max(sp.norm_l2(u), 1e-300)
-    report = {
+    write_json(os.path.join(out, "rescale_report.json"), {
         "n": res.n,
         "normalized_domain": {
             "l1": res.domain.l1, "l2": res.domain.l2, "eps": res.domain.eps,
@@ -405,20 +387,15 @@ def cmd_rescale_check(cfg: dict) -> int:
         "residual_u_identity": res.residual_u_identity,
         "roundtrip_residual": roundtrip,
         "rhs_residual": gw.rescale_rhs_residual(u, f),
-    }
-    with open(os.path.join(out, "rescale_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    _write_manifest(out, "rescale-check", cfg, ["rescale_report.json"], t0)
+    })
     print(
         f"rescale-check: n={res.n} identities "
         f"(f: {res.residual_f_identity:.2e}, u: {res.residual_u_identity:.2e}) -> {out}"
     )
-    return EXIT_OK
+    return EXIT_OK, ["rescale_report.json"]
 
 
-def cmd_thresholds(cfg: dict) -> int:
-    t0 = time.time()
-    out = _out_dir(cfg, "thresholds")
+def cmd_thresholds(cfg: dict, out: str) -> tuple[int, list[str]]:
     eps_values = _float_list(cfg, "eps_list", default=[0.1, 0.01, 0.001])
     table = gw.literature_thresholds(
         eps_values,
@@ -426,11 +403,9 @@ def cmd_thresholds(cfg: dict) -> int:
         c=_coerce(cfg, "c", float, default=1.0),
     )
     gw.write_thresholds_csv(table, os.path.join(out, "thresholds.csv"))
-    with open(os.path.join(out, "thresholds.json"), "w") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-    _write_manifest(out, "thresholds", cfg, ["thresholds.csv", "thresholds.json"], t0)
+    write_json(os.path.join(out, "thresholds.json"), table)
     print(f"thresholds: {len(eps_values)} eps values -> {out}")
-    return EXIT_OK
+    return EXIT_OK, ["thresholds.csv", "thresholds.json"]
 
 
 _COMMANDS = {
@@ -491,7 +466,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.scenario](cfg)
+        t0 = time.time()
+        out = _out_dir(cfg, args.scenario)
+        code, artifacts = _COMMANDS[args.scenario](cfg, out)
+        _write_manifest(out, args.scenario, cfg, artifacts, t0)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,12 +19,12 @@ finite differences and the unknown constants are fitted by a Chebyshev
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linprog
 
+from .artifacts import record, write_csv
 from .spectral import (
     DomainSpec,
     SpectralField,
@@ -55,25 +55,6 @@ __all__ = [
     "energy_budget",
     "energy_identity_residuals",
     "write_residual_traces",
-    "reports_to_json",
-]
-
-#: CSV schema: leading columns are fixed; the planar-family extras follow.
-CSV_COLUMNS = [
-    "t",
-    "theta",
-    "phi",
-    "psi",
-    "phi_tilde",
-    "psi_tilde",
-    "chi",
-    "h1",
-    "h2",
-    "F",
-    "phi_2d",
-    "psi_2d",
-    "phi_tilde_2d",
-    "psi_tilde_2d",
 ]
 
 
@@ -83,6 +64,7 @@ class DiagnosticSeries:
 
     phi/psi and their tilde variants are the full-family definitions; the
     _2d arrays hold the planar-family ones.  F is the forcing L2 magnitude.
+    The fields, in declaration order, are the diagnostics CSV's columns.
     """
 
     times: np.ndarray
@@ -112,16 +94,7 @@ class DiagnosticSeries:
         raise ValueError(f"unknown regime {regime!r}")
 
     def to_csv(self, path) -> None:
-        cols = [
-            self.times, self.theta, self.phi, self.psi, self.phi_tilde,
-            self.psi_tilde, self.chi, self.h1, self.h2, self.forcing,
-            self.phi_2d, self.psi_2d, self.phi_tilde_2d, self.psi_tilde_2d,
-        ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in zip(*cols):
-                writer.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, CSV_COLUMNS, zip(*(getattr(self, f.name).tolist() for f in fields(self))))
 
     @classmethod
     def from_csv(cls, path) -> "DiagnosticSeries":
@@ -135,6 +108,12 @@ class DiagnosticSeries:
         return cls(*(data[:, i] for i in range(len(CSV_COLUMNS))))
 
 
+#: CSV header: the DiagnosticSeries fields, with times and forcing named t and F
+CSV_COLUMNS = [
+    {"times": "t", "forcing": "F"}.get(f.name, f.name) for f in fields(DiagnosticSeries)
+]
+
+
 class SeriesBuilder:
     """Append-only accumulator used while a run is in progress."""
 
@@ -142,17 +121,13 @@ class SeriesBuilder:
         self._rows: list[tuple] = []
 
     def append(self, t: float, u: SpectralField, forcing_l2: float) -> None:
-        self._rows.append((t,) + sample_functionals(u) + (forcing_l2,))
+        # sample_functionals' row is the fields from theta to h2, then the _2d ones
+        row = sample_functionals(u)
+        self._rows.append((t, *row[:8], forcing_l2, *row[8:]))
 
     def finish(self) -> DiagnosticSeries:
-        if not self._rows:
-            empty = np.zeros(0)
-            return DiagnosticSeries(*([empty] * len(CSV_COLUMNS)))
-        data = np.asarray(self._rows, dtype=float)
-        # builder rows: t, theta, phi, psi, phit, psit, chi, h1, h2,
-        #               phi2d, psi2d, phit2d, psit2d, F
-        order = [0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 10, 11, 12]
-        return DiagnosticSeries(*(data[:, i] for i in order))
+        data = np.asarray(self._rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
+        return DiagnosticSeries(*data.T)
 
 
 def _split_norms(u: SpectralField) -> dict[str, float]:
@@ -342,15 +317,7 @@ class InequalityReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "fitted_constants": self.fitted_constants,
-            "residual_max": self.residual_max,
-            "slack": self.slack,
-            "verdict": self.verdict,
-            "trajectory_id": self.trajectory_id,
-            "term_peaks": self.term_peaks,
-        }
+        return record(self, exclude=("times", "residuals"))
 
 
 def _ddt(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -420,8 +387,9 @@ def _fit_chebyshev(
     lhs: np.ndarray,
     cols: dict[str, np.ndarray],
     bounds: dict[str, tuple[float, float]],
-) -> tuple[dict[str, float], float]:
-    """Fit constants of the bound lhs_i <= sum_j c_j col_j[i].
+) -> tuple[dict[str, float], np.ndarray]:
+    """Fit constants of the bound lhs_i <= sum_j c_j col_j[i]; return them
+    with the residuals lhs_i - sum_j c_j col_j[i].
 
     The verdict question is whether nonnegative constants exist, but the
     minimizer of the plain max residual is degenerate (inflating a source
@@ -483,9 +451,7 @@ def _fit_chebyshev(
         x = informative_fit(target)
         if x is None:
             x = res1.x[1:]
-    constants = {n: float(v) for n, v in zip(names, x)}
-    residuals = lhs - A_terms @ x
-    return constants, float(np.max(residuals))
+    return {n: float(v) for n, v in zip(names, x)}, lhs - A_terms @ x
 
 
 _DEFAULT_BOUNDS = (0.0, 1e9)
@@ -504,15 +470,13 @@ def _fit_one(
     box = {n: _DEFAULT_BOUNDS for n in cols}
     if bounds:
         box.update({n: bounds[n] for n in bounds if n in box})
-    constants, residual_max = _fit_chebyshev(lhs, cols, box)
+    constants, residuals = _fit_chebyshev(lhs, cols, box)
+    residual_max = float(np.max(residuals))
     term_peaks = {
         n: float(np.max(np.abs(constants[n] * cols[n]), initial=0.0)) for n in cols
     }
     scale = max(float(np.max(np.abs(lhs), initial=0.0)) + sum(term_peaks.values()), lhs_floor)
     slack = slack_rel * max(scale, 1e-300)
-    A = np.column_stack([cols[n] for n in cols])
-    x = np.array([constants[n] for n in cols])
-    residuals = lhs - A @ x
     verdict = "pass" if residual_max <= slack else "fail"
     return InequalityReport(
         name=name,
@@ -541,14 +505,7 @@ def check_diff_inequalities(
     system with the shear terms, 'full-split' for the three per-quantity
     inequalities the combined system is assembled from.
     """
-    if len(series) < 5:
-        raise ValueError("series too short to estimate time derivatives (< 5 samples)")
-    reports = []
-    for name, lhs, cols, lhs_floor in _inequality_defs(series, eps, regime):
-        reports.append(
-            _fit_one(name, series.times, lhs, cols, lhs_floor, slack_rel, bounds, trajectory_id)
-        )
-    return reports
+    return _fit_series([series], eps, regime, slack_rel, bounds, trajectory_id)
 
 
 def fit_shared_constants(
@@ -561,20 +518,24 @@ def fit_shared_constants(
     """One constant set per inequality covering every trajectory at once."""
     if not series_list:
         raise ValueError("no trajectories supplied")
+    return _fit_series(series_list, eps, regime, slack_rel, bounds, "shared")
+
+
+def _fit_series(series_list, eps, regime, slack_rel, bounds, trajectory_id):
+    """Fit each inequality of a regime on the concatenated samples of the series."""
     for s in series_list:
         if len(s) < 5:
             raise ValueError("series too short to estimate time derivatives (< 5 samples)")
     per = [_inequality_defs(s, eps, regime) for s in series_list]
+    times = np.concatenate([s.times for s in series_list])
     reports = []
-    for idx in range(len(per[0])):
-        name = per[0][idx][0]
-        lhs = np.concatenate([defs[idx][1] for defs in per])
-        keys = per[0][idx][2].keys()
-        cols = {k: np.concatenate([defs[idx][2][k] for defs in per]) for k in keys}
-        times = np.concatenate([s.times for s in series_list])
-        lhs_floor = max(defs[idx][3] for defs in per)
+    for defs in zip(*per):
+        name, _, first_cols, _ = defs[0]
+        lhs = np.concatenate([d[1] for d in defs])
+        cols = {k: np.concatenate([d[2][k] for d in defs]) for k in first_cols}
+        lhs_floor = max(d[3] for d in defs)
         reports.append(
-            _fit_one(name, times, lhs, cols, lhs_floor, slack_rel, bounds, "shared")
+            _fit_one(name, times, lhs, cols, lhs_floor, slack_rel, bounds, trajectory_id)
         )
     return reports
 
@@ -583,18 +544,8 @@ def write_residual_traces(reports: list[InequalityReport], path) -> None:
     """CSV of residual traces, one column per inequality (plotting aid)."""
     if not reports:
         return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [r.name for r in reports])
-        for i, t in enumerate(reports[0].times):
-            writer.writerow(
-                [f"{t:.17g}"] + [f"{r.residuals[i]:.17g}" for r in reports]
-            )
-
-
-def reports_to_json(reports: list[InequalityReport], path) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+    cols = [reports[0].times] + [r.residuals for r in reports]
+    write_csv(path, ["t"] + [r.name for r in reports], zip(*(c.tolist() for c in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +569,11 @@ class RegularityBoundsReport:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "sup_h1": self.sup_h1,
-            "tail_sup_h1": self.tail_sup_h1,
-            "tail_window": list(self.tail_window),
-            "h2_sq_integral": self.h2_sq_integral,
-            "M": self.M,
-            "rhs_uniform": self.rhs_uniform,
-            "rhs_tail": self.rhs_tail,
-            "c_uniform": self.c_uniform,
-            "c_tail": self.c_tail,
-            "vacuous": self.vacuous,
-            "message": self.message,
-        }
+        return record(self)
+
+
+#: share of the run, at its end, that the tail sup is taken over
+_TAIL_FRACTION = 0.25
 
 
 def evaluate_regularity_bounds(
@@ -642,15 +585,14 @@ def evaluate_regularity_bounds(
     nu: float,
     eps: float,
     M: float | None = None,
-    tail_fraction: float = 0.25,
     blowup: dict | None = None,
 ) -> RegularityBoundsReport:
     """Evaluate the H1 conclusion bounds along a finished run.
 
-    Computes sup_t ||u||_H1, the sup over the trailing window (a finite-
-    horizon stand-in for the limsup), and the trapezoid integral of
-    ||u||_H2^2; reports the smallest prefactor c that would make each bound
-    hold.  A blown-up run yields a vacuous report: the smallness hypothesis
+    Computes sup_t ||u||_H1, the sup over the trailing window (the last
+    quarter of the run, a finite-horizon stand-in for the limsup), and the
+    trapezoid integral of ||u||_H2^2; reports the smallest prefactor c that
+    would make each bound hold.  A blown-up run yields a vacuous report: the smallness hypothesis
     M <= c^-1 nu sqrt(l2) / l1 was presumably violated.
     """
     if M is None:
@@ -676,7 +618,7 @@ def evaluate_regularity_bounds(
         )
     t = series.times
     span = t[-1] - t[0]
-    t_tail = t[-1] - tail_fraction * span
+    t_tail = t[-1] - _TAIL_FRACTION * span
     tail_mask = t >= t_tail
     sup_h1 = float(np.max(series.h1))
     tail_sup = float(np.max(series.h1[tail_mask]))

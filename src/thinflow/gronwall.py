@@ -20,14 +20,13 @@ below shear_damping, which check_trajectory traces along a simulated run.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .artifacts import record, write_csv
 from .diagnostics import DiagnosticSeries, InequalityReport
 from .solver import nonlinear_term
 from .spectral import (
@@ -56,9 +55,12 @@ __all__ = [
     "rescale_rhs_residual",
     "literature_thresholds",
     "write_thresholds_csv",
-    "envelope_report_json",
     "evaluate_iftimie_condition",
 ]
+
+
+#: the tiny positive value fitted zero constants are floored at
+_CONSTANT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,12 @@ class InequalitySystem:
         U: float,
         F: float,
         regime: str = "planar",
-        floor: float = 1e-12,
         data_threshold: float | None = None,
     ) -> "InequalitySystem":
         """Assemble a system from fitted inequality reports.
 
         Poincare constants come from the sharp spectral values of the
-        domain; fitted zeros are floored at a tiny positive value (a weaker
+        domain; fitted zeros are floored at _CONSTANT_FLOOR (a weaker
         constant only enlarges the envelope, so domination is preserved).
         """
         kmin = min_nonzero_k(domain)
@@ -138,7 +139,7 @@ class InequalitySystem:
         phi_fit = by_name[f"{prefix}-phi"]
         psi_fit = by_name[f"{prefix}-psi"]
         en_fit = by_name[f"{prefix}-energy"]
-        get = lambda d, k: max(d.get(k, 0.0), floor)
+        get = lambda d, k: max(d.get(k, 0.0), _CONSTANT_FLOOR)
         kwargs = dict(
             poincare_energy=c_poi**2,
             poincare_phi=c_poi,
@@ -157,8 +158,8 @@ class InequalitySystem:
             data_threshold=data_threshold,
         )
         if regime == "full":
-            kwargs["shear_damping"] = max(
-                min(get(phi_fit, "shear_damping"), get(psi_fit, "shear_damping")), floor
+            kwargs["shear_damping"] = min(
+                get(phi_fit, "shear_damping"), get(psi_fit, "shear_damping")
             )
             kwargs["shear_coupling"] = max(
                 phi_fit.get("shear_coupling", 0.0), psi_fit.get("shear_coupling", 0.0)
@@ -181,11 +182,12 @@ class GronwallEnvelope:
     system: InequalitySystem = field(repr=False)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "theta_sq_bound", "phi_sq_bound", "psi_sq_bound"])
-            for row in zip(self.times, self.theta_sq, self.phi_sq, self.psi_sq):
-                writer.writerow([f"{v:.17g}" for v in row])
+        cols = (self.times, self.theta_sq, self.phi_sq, self.psi_sq)
+        write_csv(
+            path,
+            ["t", "theta_sq_bound", "phi_sq_bound", "psi_sq_bound"],
+            zip(*(c.tolist() for c in cols)),
+        )
 
 
 def _linear_envelope(a: float, b: float, x0: float, t: np.ndarray) -> np.ndarray:
@@ -312,16 +314,7 @@ class ContainmentReport:
         return self.guard_first_crossing is not None
 
     def to_dict(self) -> dict:
-        return {
-            "contained": self.contained,
-            "first_violation": list(self.first_violation) if self.first_violation else None,
-            "guard_threshold": self.guard_threshold,
-            "guard_max": self.guard_max,
-            "guard_first_crossing": self.guard_first_crossing,
-            "guard_crossed": self.guard_crossed,
-            "small_data_ok": self.small_data_ok,
-            "margins": self.margins,
-        }
+        return record(self) | {"guard_crossed": self.guard_crossed}
 
 
 def check_trajectory(
@@ -530,32 +523,30 @@ def rescale_rhs_residual(u: SpectralField, f: SpectralField | None = None) -> fl
 _DEFAULT_ALPHA_LABEL = "alpha(eps) = 1/log(1/eps)  [artifact plotting default, user-replaceable]"
 
 
+#: the small exponents of the literature bounds, each set to the one delta:
+#: d1..d8 of Raugel-Sell, then Moise-Temam-Ziane's and Iftimie's
+_DELTA_NAMES = tuple(f"d{i}" for i in range(1, 9)) + ("mtz", "iftimie")
+
+
 def literature_thresholds(
     eps_values,
     delta: float = 0.01,
-    deltas: dict | None = None,
     alpha_fn=None,
     c: float = 1.0,
-    c_delta: float | None = None,
 ) -> dict:
     """Side-by-side smallness thresholds from the thin-domain literature.
 
-    Raugel-Sell and Moise-Temam-Ziane bounds are power laws in eps with
-    user-supplied deltas; Iftimie's sufficient condition follows from his
-    anisotropic hypothesis; the 'uniform' column is the scale-free
-    M <= 1/c threshold whose eps-independence this toolkit illustrates.
-    alpha_fn is the user-supplied vanishing prefactor of the MTZ bounds.
+    Raugel-Sell and Moise-Temam-Ziane bounds are power laws in eps whose
+    small exponents are all set to delta; Iftimie's sufficient condition
+    follows from his anisotropic hypothesis; the 'uniform' column is the
+    scale-free M <= 1/c threshold whose eps-independence this toolkit
+    illustrates.  alpha_fn is the user-supplied vanishing prefactor of the
+    MTZ bounds.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if np.any(eps_values >= 1.0) or np.any(eps_values <= 0.0):
         raise ValueError("eps values must lie in (0, 1) so log(1/eps) > 0")
-    d = {f"d{i}": delta for i in range(1, 9)}
-    d["mtz"] = delta
-    d["iftimie"] = delta
-    if deltas:
-        d.update(deltas)
-    if c_delta is None:
-        c_delta = c
+    d = dict.fromkeys(_DELTA_NAMES, delta)
     alpha_label = _DEFAULT_ALPHA_LABEL if alpha_fn is None else "user-supplied alpha(eps)"
     if alpha_fn is None:
         alpha_fn = lambda e: 1.0 / math.log(1.0 / e)
@@ -572,7 +563,7 @@ def literature_thresholds(
                 "rs_qf": eps ** (-0.5 + d["d7"]) * lg ** d["d8"],
                 "mtz_p": alpha * eps ** (1.0 / 6.0 + d["mtz"]),
                 "mtz_q": alpha * eps ** (-1.0 / 6.0 + d["mtz"]),
-                "iftimie_pu": (1.0 / c_delta) * eps**0.5 * math.sqrt(lg),
+                "iftimie_pu": (1.0 / c) * eps**0.5 * math.sqrt(lg),
                 "iftimie_qu": (1.0 / c) * eps ** (-0.5 + d["iftimie"]),
                 "uniform": 1.0 / c,
             }
@@ -584,12 +575,8 @@ def write_thresholds_csv(table: dict, path) -> None:
     rows = table["rows"]
     if not rows:
         return
-    cols = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([f"{row[k]:.17g}" for k in cols])
+    cols = list(rows[0])
+    write_csv(path, cols, ([row[k] for k in cols] for row in rows))
 
 
 def evaluate_iftimie_condition(u: SpectralField, c: float = 1.0) -> dict:
@@ -602,24 +589,3 @@ def evaluate_iftimie_condition(u: SpectralField, c: float = 1.0) -> dict:
     h_half = math.sqrt(norm_l2(qu) ** 2 + norm_ds(qu, 0.5) ** 2)
     lhs = h_half * math.exp(c * norm_l2(pu) ** 2 / u.domain.eps)
     return {"lhs": lhs, "threshold": 1.0 / c, "satisfied": lhs <= 1.0 / c}
-
-
-def envelope_report_json(env: GronwallEnvelope, report: ContainmentReport, path) -> None:
-    doc = {
-        "containment": report.to_dict(),
-        "psi_peak_bound": env.psi_peak_bound,
-        "psi_tail_bound": env.psi_tail_bound,
-        "dissipation_integral": env.dissipation_integral,
-        "derived_constants": env.constants,
-        "system": {
-            k: getattr(env.system, k)
-            for k in (
-                "poincare_energy", "poincare_phi", "poincare_psi", "phi_damping",
-                "phi_source", "psi_damping", "psi_coupling", "psi_source",
-                "energy_damping", "energy_source", "U", "F", "eps", "regime",
-                "shear_damping", "shear_coupling", "data_threshold",
-            )
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)

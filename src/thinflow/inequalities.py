@@ -26,14 +26,13 @@ dense samples); the L4 norms use exact quadrature of the quartic.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import ifft2, next_fast_len
 
+from .artifacts import record, write_csv
 from .spectral import (
     DomainSpec,
     SpectralField,
@@ -61,7 +60,6 @@ __all__ = [
     "thin_sweep_resolution",
     "single_mode_floor_planar_l4",
     "write_sweep_csv",
-    "estimate_to_json",
 ]
 
 INEQUALITIES = ("thin-sup", "thin-l4", "planar-l4", "poincare", "hausdorff-young")
@@ -342,19 +340,7 @@ class ConstantEstimate:
         return _RATIO_DISPATCH[self.inequality](self.maximizer, self.params)
 
     def to_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "l1": self.l1,
-            "l2": self.l2,
-            "eps": self.eps,
-            "resolution": list(self.resolution),
-            "trial_count": self.trial_count,
-            "max_ratio": self.max_ratio,
-            "best_trial_kind": self.best_trial_kind,
-            "params": self.params,
-            "convergence": self.convergence,
-            "ensemble_best": self.ensemble_best,
-        }
+        return record(self, exclude=("maximizer",))
 
 
 _RATIO_DISPATCH = {
@@ -562,16 +548,7 @@ class ScalingFit:
     normalized_ratios: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "inequality": self.inequality,
-            "eps_values": self.eps_values.tolist(),
-            "max_ratios": self.max_ratios.tolist(),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "expected_slope": self.expected_slope,
-            "normalized_ratios": self.normalized_ratios.tolist(),
-        }
+        return record(self)
 
 
 _EXPECTED_SLOPE = {"thin-sup": 0.5, "thin-l4": 0.25}
@@ -613,8 +590,12 @@ def fit_eps_scaling(
     )
 
 
+#: beta = n1 eps / l1, the horizontal band a thin-constant sweep keeps per 1/eps
+_SWEEP_BETA = 0.25
+
+
 def thin_sweep_resolution(
-    eps: float, l1: float = 4.0, beta: float = 0.25, cap: int = 64, n3: int = 2
+    eps: float, l1: float = 4.0, cap: int = 64, n3: int = 2
 ) -> tuple[int, int, int]:
     """Horizontal resolution rule for thin-constant sweeps.
 
@@ -624,23 +605,14 @@ def thin_sweep_resolution(
     eps dependence from the fitted slope.  With the default l1 = 4 box this
     is n1 = 1/eps for the usual dyadic eps sweep.
     """
-    n = int(min(cap, max(4, round(beta * l1 / eps))))
+    n = int(min(cap, max(4, round(_SWEEP_BETA * l1 / eps))))
     return (n, n, n3)
 
 
 def write_sweep_csv(path, eps_values, estimates: list[ConstantEstimate]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "n1", "n2", "n3", "max_ratio", "trials", "best_kind"])
-        for eps, est in zip(eps_values, estimates):
-            res = est.resolution if len(est.resolution) == 3 else est.resolution + (0,)
-            writer.writerow(
-                [eps, res[0], res[1], res[2], f"{est.max_ratio:.17g}", est.trial_count, est.best_trial_kind]
-            )
-
-
-def estimate_to_json(estimate: ConstantEstimate, path, maximizer_ref: str | None = None) -> None:
-    doc = estimate.to_dict()
-    doc["maximizer_checkpoint"] = maximizer_ref
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    """One row per estimate; eps is written as str(eps), so 0.1 stays 0.1."""
+    rows = []
+    for eps, est in zip(eps_values, estimates):
+        res = est.resolution if len(est.resolution) == 3 else est.resolution + (0,)
+        rows.append([str(eps), *res, est.max_ratio, est.trial_count, est.best_trial_kind])
+    write_csv(path, ["eps", "n1", "n2", "n3", "max_ratio", "trials", "best_kind"], rows)

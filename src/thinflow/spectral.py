@@ -277,16 +277,20 @@ class SpectralField:
             raise ValueError("fields live on different domains")
 
 
-def default_grid(spec: DomainSpec, factor: float = 1.5) -> tuple[int, int, int]:
-    """Per-axis physical sample counts, fast FFT sizes >= factor * mode count.
+#: padding factor of the product grid over the mode count, per axis
+_GRID_FACTOR = 1.5
 
-    The 1.5x default gives at least 3 n_i + 2 points per axis, which makes
+
+def default_grid(spec: DomainSpec) -> tuple[int, int, int]:
+    """Per-axis physical sample counts, fast FFT sizes >= 1.5 * mode count.
+
+    The 1.5x factor gives at least 3 n_i + 2 points per axis, which makes
     quadrature of cubic products of retained-band fields exact (and quadratic
     convolutions alias-free): this is the padded form of the 2/3 rule.
     """
     out = []
     for m in spec.shape:
-        out.append(next_fast_len(max(int(np.ceil(factor * m)), m)))
+        out.append(next_fast_len(max(int(np.ceil(_GRID_FACTOR * m)), m)))
     return tuple(out)
 
 

@@ -278,10 +278,11 @@ class TestRescaleAndThresholds:
         assert len(lines) == 4
 
     def test_eps_validation_surfaces(self, tmp_path, capsys):
-        rc = run_cli([
-            "thresholds", "--out", str(tmp_path / "x"), "--set", "eps_list=1.5",
-        ])
-        assert rc == cli.EXIT_CONFIG
+        for eps_list in ("1.5", ""):
+            out = tmp_path / f"x{eps_list}"
+            rc = run_cli(["thresholds", "--out", str(out), "--set", f"eps_list={eps_list}"])
+            assert rc == cli.EXIT_CONFIG, eps_list
+            assert not (out / "manifest.json").exists()
 
 
 class TestEntryPoint:
