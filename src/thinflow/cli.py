@@ -326,6 +326,12 @@ def cmd_estimate_constants(cfg: dict, out: str) -> tuple[int, list[str]]:
 def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
     inequality = cfg.get("inequality", "thin-sup")
     eps_values = _float_list(cfg, "eps_list", required=True)
+    subdirs = [f"eps_{eps:g}" for eps in eps_values]
+    shared = sorted({name for name in subdirs if subdirs.count(name) > 1})
+    if shared:
+        raise ConfigError(
+            f"config key 'eps_list': several eps values would write to {', '.join(shared)}"
+        )
     l1 = _coerce(cfg, "l1", float, default=4.0)
     l2 = _coerce(cfg, "l2", float, default=l1)
     n3 = _coerce(cfg, "n3", int, default=2)
@@ -343,7 +349,7 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
         est = iq.estimate_constant(
             inequality, domain, budget=budget, seed=seeds[idx], refine=refine
         )
-        sub = os.path.join(out, f"eps_{eps:g}")
+        sub = os.path.join(out, subdirs[idx])
         os.makedirs(sub, exist_ok=True)
         _write_estimate(est, domain, sub)
         return est
@@ -362,9 +368,7 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
         + (f" (expected {fit.expected_slope})" if fit.expected_slope else "")
         + f" -> {out}"
     )
-    return EXIT_OK, ["sweep.csv", "scaling_fit.json"] + [
-        f"eps_{e:g}/estimate.json" for e in eps_values
-    ]
+    return EXIT_OK, ["sweep.csv", "scaling_fit.json"] + [f"{sub}/estimate.json" for sub in subdirs]
 
 
 def cmd_rescale_check(cfg: dict, out: str) -> tuple[int, list[str]]:

@@ -21,7 +21,12 @@ The thin-domain constants are expected to scale like eps^(1/2) (sup case)
 and eps^(1/4) (L4 case); fit_eps_scaling turns a sweep of estimates into a
 log-log slope.  The sup norm is approximated on a 4x oversampled grid
 (documented approximation: the sup of a band-limited function is read off
-dense samples); the L4 norms use exact quadrature of the quartic.
+dense samples); the L4 norms use exact quadrature of the quartic.  Both
+grid norms synthesize each nonzero velocity component's p >= 0 slabs
+horizontally (the x pass runs on the occupied y columns only), then reduce
+|u|^2 block by block of grid columns (_grid_mag2_blocks): the z synthesis of
+a block is one small real matrix product, and the full 3D grid is never
+held.  The 3D random trials are drawn in one component.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .spectral import (
     norm_l2,
     _checked_hermitian,
     _box_sum,
+    _half_shape,
     _symmetrize,
     _synth,
 )
@@ -175,48 +181,72 @@ def dyadic_decompose(f: Field2D) -> DyadicProfile:
 # ---------------------------------------------------------------------------
 
 def _xy_synthesis(comp: np.ndarray, grid_xy: tuple[int, int]) -> np.ndarray:
-    """Real and imaginary parts, stacked, of the p >= 0 slabs of one component
-    on the horizontal grid: shape (2 (n3 + 1), gx * gy).
+    """The p >= 0 slabs of one component on the horizontal grid, as a complex
+    (n3 + 1, gx * gy) array.
 
-    comp holds the (M1, M2, n3 + 1) coefficients with p = 0 .. n3.
+    comp holds the (M1, M2, n3 + 1) coefficients with p = 0 .. n3.  The x
+    pass runs on the M2 occupied y columns only, then the y pass on the
+    embedded (gx, gy) slabs: the same arithmetic, in the same axis order, as
+    one ifft2 over both axes, whose x pass would transform gy - M2 columns
+    of exact zeros into exact zeros.
     """
     n1, n2, n_pos = comp.shape[0] // 2, comp.shape[1] // 2, comp.shape[2]
-    m1 = np.arange(-n1, n1 + 1) % grid_xy[0]
-    m2 = np.arange(-n2, n2 + 1) % grid_xy[1]
-    slabs = np.zeros((n_pos,) + grid_xy, dtype=np.complex128)
-    slabs[:, m1[:, None], m2[None, :]] = np.moveaxis(comp, -1, 0)
-    planes = ifft2(slabs, axes=(-2, -1), norm="forward", workers=1, overwrite_x=True)
-    return np.concatenate([planes.real, planes.imag]).reshape(2 * n_pos, -1)
+    gx, gy = grid_xy
+    columns = np.zeros((n_pos, gx, comp.shape[1]), dtype=np.complex128)
+    columns[:, np.arange(-n1, n1 + 1) % gx] = np.moveaxis(comp, -1, 0)
+    columns = ifft2(columns, axes=(-2,), norm="forward", workers=1, overwrite_x=True)
+    slabs = np.zeros((n_pos, gx, gy), dtype=np.complex128)
+    slabs[:, :, np.arange(-n2, n2 + 1) % gy] = columns
+    slabs = ifft2(slabs, axes=(-1,), norm="forward", workers=1, overwrite_x=True)
+    return slabs.reshape(n_pos, gx * gy)
 
 
-def _grid_mag2(u: SpectralField, grid: tuple[int, int, int]) -> np.ndarray:
-    """|u|^2 sampled on the periodic (gx, gy, gz) grid, as a (gz, gx * gy) array.
+#: grid columns (xy points) per block of the blocked |u|^2 reduction
+_BLOCK = 4096
+
+
+def _grid_mag2_blocks(u: SpectralField, grid: tuple[int, int, int]):
+    """Yield |u|^2 on the periodic (gx, gy, gz) grid, one (gz, <= _BLOCK) block
+    of the (gz, gx * gy) array at a time, in column order.
 
     The p < 0 slabs are the conjugate mirrors of the p >= 0 ones, so
     w(., ., z) = W_0 + 2 Re sum_{p>0} W_p e^(2 pi i p z / eps): after one xy
-    transform per component, the z synthesis is one real matrix product of
-    cos / -sin weights with the stacked real and imaginary parts of W_p.
-    Components that are identically zero are skipped, and besides the running
-    sum only one component's samples exist at a time.  A field with no
-    nonzero component gives a single zero sample.
+    synthesis per component, the z synthesis of a block of columns is one
+    real matrix product of cos / -sin weights with the stacked real and
+    imaginary parts of W_p there.  Each block copies those parts into one
+    small stack, squares the product and sums it over the components, in
+    component order; every element is the same dot product as in a product
+    over all columns at once, so the samples do not depend on the blocking.
+    Components that are identically zero are skipped, and the full grid is
+    never held.  A field with no nonzero component yields a single zero
+    sample.  The yielded block is reused: consume it before the next.
     """
     gx, gy, gz = grid
     n_pos = u.domain.n3 + 1
+    planes = [_xy_synthesis(comp, (gx, gy)) for comp in u.half if comp.any()]
+    if not planes:
+        yield np.zeros((1, 1))
+        return
     theta = 2.0 * np.pi * np.outer(np.arange(gz), np.arange(n_pos)) / gz
     weight = np.where(np.arange(n_pos) == 0, 1.0, 2.0)
     synth = np.hstack([weight * np.cos(theta), -weight * np.sin(theta)])
-    mag2 = w = None
-    for comp in u.half:  # p = 0 .. n3
-        if not comp.any():
-            continue
-        # from the second nonzero component on, w is one reused buffer
-        w = np.matmul(synth, _xy_synthesis(comp, (gx, gy)), out=w)
-        w *= w
-        if mag2 is None:
-            mag2, w = w, None
-        else:
-            mag2 += w
-    return np.zeros(1) if mag2 is None else mag2
+    points = gx * gy
+    stack = None
+    for start in range(0, points, _BLOCK):
+        cols = slice(start, min(start + _BLOCK, points))
+        width = cols.stop - start
+        if stack is None or stack.shape[1] != width:  # the first, or the partial last block
+            stack = np.empty((2 * n_pos, width))
+            mag2 = np.empty((gz, width))
+            w = np.empty_like(mag2)
+        for i, plane in enumerate(planes):
+            np.copyto(stack[:n_pos], plane.real[:, cols])
+            np.copyto(stack[n_pos:], plane.imag[:, cols])
+            out = np.matmul(synth, stack, out=mag2 if i == 0 else w)
+            out *= out
+            if i:
+                mag2 += w
+        yield mag2
 
 
 def _oversampled_grid(d: DomainSpec, oversample: int) -> tuple[int, int, int]:
@@ -229,7 +259,8 @@ def _oversampled_grid(d: DomainSpec, oversample: int) -> tuple[int, int, int]:
 
 def sup_norm(u: SpectralField, oversample: int = 4) -> float:
     """sup |u| read off an oversampled grid."""
-    return float(np.sqrt(np.max(_grid_mag2(u, _oversampled_grid(u.domain, oversample)))))
+    blocks = _grid_mag2_blocks(u, _oversampled_grid(u.domain, oversample))
+    return float(np.sqrt(np.max([np.max(block) for block in blocks])))
 
 
 def lp_norm(u: SpectralField, p: float, oversample: int = 4) -> float:
@@ -248,9 +279,10 @@ def lp_norm(u: SpectralField, p: float, oversample: int = 4) -> float:
         grid = (next_fast_len(4 * d.n1 + 2), next_fast_len(4 * d.n2 + 2), 4 * d.n3 + 2)
     else:
         grid = _oversampled_grid(d, oversample)
-    mag2 = _grid_mag2(u, grid)
-    np.power(mag2, p / 2.0, out=mag2)
-    return float((d.volume * np.mean(mag2)) ** (1.0 / p))
+    total = 0.0
+    for block in _grid_mag2_blocks(u, grid):
+        total += float(np.sum(np.power(block, p / 2.0, out=block)))
+    return float((d.volume * (total / (grid[0] * grid[1] * grid[2]))) ** (1.0 / p))
 
 
 def _ratio_thin_sup(u: SpectralField, oversample: int) -> float:
@@ -482,11 +514,13 @@ def estimate_constant(
         ]
 
         def random_trial(env) -> SpectralField:
-            raw = np.zeros((3,) + domain.shape, dtype=np.complex128)
-            raw[0] = _draw(rng, domain.shape, env)
+            # one nonzero component, symmetrized alone; _wrap pins its zero mode
+            raw = _draw(rng, domain.shape, env)
             if q_constrained:
-                raw[0, :, :, domain.n3] = 0.0  # no vertical mean: live in the range of Q
-            return SpectralField(domain, hermitian_symmetrize(raw))
+                raw[:, :, domain.n3] = 0.0  # no vertical mean: live in the range of Q
+            half = np.zeros(_half_shape(domain), dtype=np.complex128)
+            half[0] = _symmetrize(raw, 3)[..., domain.n3 :]
+            return SpectralField._wrap(domain, half)
 
     ratio_fn = lambda cand: _RATIO_DISPATCH[inequality](cand, params)
     best = None

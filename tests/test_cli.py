@@ -247,6 +247,20 @@ class TestEstimateAndSweep:
         run_cli(["sweep", "--out", str(out2), "--set", "parallelism=3"] + args)
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    def test_sweep_rejects_eps_values_sharing_a_directory(self, tmp_path, capsys):
+        """eps_{eps:g} keeps 6 significant digits: 0.1000001 and 0.1000002 both map to
+        eps_0.1, so the second estimate would overwrite the first's files."""
+        out = tmp_path / "sweep"
+        rc = run_cli([
+            "sweep", "--out", str(out),
+            "--set", "eps_list=0.25,0.1000001,0.1000002",
+            "--set", "budget=4", "--set", "cap=16",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert "eps_0.1" in capsys.readouterr().err
+        assert not list(out.glob("eps_*"))
+        assert not (out / "manifest.json").exists()
+
 
 class TestRescaleAndThresholds:
     def test_rescale_check(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the empirical constant estimators and the dyadic decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -14,14 +16,16 @@ def thin_box():
 
 
 # (l1, l2, n1, n2, n3, oversample) for the grid-norm checks.  sup_norm grids:
-# 56x56x24 (even), 21x15x9 (odd), 36x54x20; lp_norm(4) grids: 15x15x6,
-# 15x10x6, 18x27x10.
+# 56x56x24 (even), 21x15x9 (odd), 36x54x20, 200x165x20; lp_norm(4) grids:
+# 15x15x6, 15x10x6, 18x27x10, 100x84x10.  The last box's grids span several
+# blocks of the blocked reduction plus a partial last one.
 _NORM_BOXES = [
     (1.0, 1.0, 3, 3, 1, 8),
     (2.0, 1.0, 3, 2, 1, 3),
     (1.5, 1.0, 4, 6, 2, 4),
+    (1.5, 1.0, 24, 20, 2, 4),
 ]
-_NORM_BOX_IDS = ["3x3x1", "3x2x1-l1>l2", "4x6x2"]
+_NORM_BOX_IDS = ["3x3x1", "3x2x1-l1>l2", "4x6x2", "24x20x2-blocks"]
 _COMPONENTS = [(), (1,), (0, 2), (0, 1, 2)]
 _COMPONENT_IDS = ["zero", "1comp", "2comp", "3comp"]
 
@@ -194,6 +198,33 @@ class TestEstimators:
         mag2 = np.sum(_dense_samples(f, grid) ** 2, axis=0)
         direct = (d.volume * np.mean(mag2**2)) ** 0.25
         assert value == pytest.approx(direct, rel=1e-12)
+
+    def test_block_box_spans_partial_last_block(self):
+        """Both grids of the last norm box hold several full blocks and a partial one."""
+        l1, l2, n1, n2, n3, oversample = _NORM_BOXES[-1]
+        d = sp.DomainSpec(l1=l1, l2=l2, eps=0.125, nu=1.0, n1=n1, n2=n2, n3=n3)
+        sup_grid = iq._oversampled_grid(d, oversample)
+        quartic_grid = (next_fast_len(4 * n1 + 2), next_fast_len(4 * n2 + 2))
+        for gx, gy in (sup_grid[:2], quartic_grid):
+            assert gx * gy > 2 * iq._BLOCK
+            assert gx * gy % iq._BLOCK != 0
+
+    def test_sup_norm_never_holds_the_grid(self):
+        """One sup_norm at (64,64,2), a 525x525x20 grid, peaks below one (gz, gx * gy)
+        float64 array: the reduction runs block by block."""
+        d = sp.DomainSpec(l1=4.0, l2=4.0, eps=1 / 64, nu=1.0, n1=64, n2=64, n3=2)
+        half = np.zeros(sp._half_shape(d), dtype=complex)
+        half[0] = sp.random_field(d, np.random.default_rng(1)).half[0]
+        f = sp.SpectralField._wrap(d, half)
+        gx, gy, gz = iq._oversampled_grid(d, 4)
+        assert (gx, gy, gz) == (525, 525, 20)
+        tracemalloc.start()
+        try:
+            iq.sup_norm(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gz * gx * gy * 8
 
 
 class TestScalingFit:
