@@ -364,7 +364,6 @@ class ConstantEstimate:
     maximizer: object
     best_trial_kind: str
     params: dict = field(default_factory=dict)
-    convergence: float | None = None
     ensemble_best: dict = field(default_factory=dict)
 
     def reproduced_ratio(self) -> float:

@@ -18,14 +18,14 @@ Coefficients from outside (a SpectralField or planar Field2D built from a
 user array or a checkpoint) pass one checked construction, because silent
 drift would make fields complex: one symmetrizer, (c + conj(flip c)) / 2
 over the mode axes, then a defect check.  Everything else works on the half
-box and needs no such repair.  Synthesis embeds its n3 + 1 planes,
-transforms them over (x, y) and finishes with a c2r along z; analysis runs
-an r2c along z, keeps n3 + 1 planes, transforms only those over (x, y) and
-symmetrizes the p = 0 plane.  Diagonal operators have even (or, times i,
-odd) multipliers and keep the p = 0 plane exactly Hermitian.  Reductions
-read the half box, each p > 0 plane standing for itself and its mirror.  The
-(0,0,0) mode is structurally pinned to zero: all fields live in the
-mean-free reduction.
+box and needs no such repair.  Synthesis embeds its n3 + 1 planes in a
+zeroed c2r input of the z grid's full size, transforms them over (x, y) in
+place and finishes with a c2r along z; analysis runs an r2c along z, keeps
+n3 + 1 planes, transforms only those over (x, y) and symmetrizes the p = 0
+plane.  Diagonal operators have even (or, times i, odd) multipliers and keep
+the p = 0 plane exactly Hermitian.  Reductions read the half box, each p > 0
+plane standing for itself and its mirror.  The (0,0,0) mode is structurally
+pinned to zero: all fields live in the mean-free reduction.
 
 Physical frequencies are k = (m/l1, n/l2, p/eps).  The fractional derivative
 D^alpha acts as the real multiplier (2 pi |k|)^alpha; every use downstream is
@@ -342,16 +342,24 @@ def _synth_half(half: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
     """Real samples on a uniform grid of Hermitian coefficients given by their half box.
 
     The last len(grid) axes of half are mode axes: -n .. n on the leading
-    ones, 0 .. n on the last (the rest is implied).  The n + 1 planes are
-    embedded and transformed over the leading grid axes by one c2c call,
-    then one c2r call along the last axis, zero-padded to its grid size,
-    finishes.  Neither is scaled, as the synthesis convention asks.
+    ones, 0 .. n on the last (the rest is implied).  The c2r input is
+    allocated at its full size, grid[-1] // 2 + 1 zeroed planes; the n + 1
+    planes are embedded in its first n + 1, which one c2c call transforms
+    over the leading grid axes in place, and one c2r call along the last
+    axis finishes without a zero-padded copy.  Neither is scaled, as the
+    synthesis convention asks.
     """
     nd = len(grid)
     modes = tuple(m // 2 for m in half.shape[-nd:-1])
-    buf = np.zeros(half.shape[:-nd] + tuple(grid[:-1]) + half.shape[-1:], dtype=np.complex128)
-    buf[_bins(modes, tuple(grid[:-1]))] = half
-    buf = ifftn(buf, axes=tuple(range(-nd, -1)), norm="forward", overwrite_x=True, workers=1)
+    buf = np.zeros(
+        half.shape[:-nd] + tuple(grid[:-1]) + (grid[-1] // 2 + 1,), dtype=np.complex128
+    )
+    kept = buf[..., : half.shape[-1]]
+    kept[_bins(modes, tuple(grid[:-1]))] = half
+    out = ifftn(kept, axes=tuple(range(-nd, -1)), norm="forward", overwrite_x=True, workers=1)
+    # overwrite_x is a hint: scipy may return the transform in a new array
+    if not np.may_share_memory(out, kept):
+        kept[...] = out
     return irfft(buf, n=grid[-1], axis=-1, norm="forward", workers=1)
 
 

@@ -126,6 +126,54 @@ def test_pruned_pair_equals_full_real_transforms(modes, pad, components, seed):
     assert np.array_equal(sp._analyze(samples, tuple(modes)), ref)
 
 
+# (box, initial kind, products per block or None for _BLOCK_BYTES as it is, analysis calls)
+_STREAM_CASES = [
+    ((8, 8, 2), "z-independent", None, [6]),
+    ((8, 8, 2), "z-independent", 4, [4, 2]),
+    ((6, 4, 3), "random-divfree", None, [6]),
+    ((6, 4, 3), "random-divfree", 4, [4, 2]),
+    ((6, 4, 3), "random-divfree", 1, [1] * 6),
+]
+
+
+@pytest.mark.parametrize(
+    "box, kind, per_block, blocks", _STREAM_CASES, ids=lambda c: str(c).replace(" ", "")
+)
+def test_streamed_products_equal_one_analysis(monkeypatch, box, kind, per_block, blocks):
+    """The blocked nonlinear term is the same bits as one _analyze_half call on all six
+    products; the slab and the test boxes are one block under _BLOCK_BYTES as it is."""
+    d = sp.DomainSpec(l1=1.5, l2=1.0, eps=0.1, nu=1.0, n1=box[0], n2=box[1], n3=box[2])
+    half = sv.make_initial(d, kind, u_target=1.0, seed=5).half
+    grid = sp.default_grid(d)
+    planar = kind == "z-independent"
+    assert planar == (not half[..., 1:].any())
+    if per_block is not None:
+        product_bytes = 8 * math.prod(grid[:2] if planar else grid)
+        monkeypatch.setattr(sv, "_BLOCK_BYTES", per_block * product_bytes)
+    calls = []
+    inner = sv._analyze_half
+    monkeypatch.setattr(sv, "_analyze_half", lambda s, m: calls.append(len(s)) or inner(s, m))
+    got = sv._nonlinear_raw(half, d, grid, None)
+    assert calls == blocks
+
+    monkeypatch.setattr(sv, "_product_half", lambda u, modes: inner(sv._products(u), modes))
+    assert np.array_equal(got, sv._nonlinear_raw(half, d, grid, None))
+
+
+def test_contour_mean_per_distinct_z_equals_elementwise():
+    """The weights evaluated once per distinct z equal those evaluated at every mode."""
+    d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.1, nu=0.3, n1=6, n2=6, n3=3)
+    z = -d.nu * (2.0 * np.pi) ** 2 * sp.ksq_grid(d)[..., d.n3 :] * 1e-3
+    assert np.unique(z).size < z.size / 4
+    theta = np.pi * (np.arange(32) + 0.5) / 32
+    for integrand in (
+        lambda w: (np.exp(w) - 1.0) / w,
+        lambda w: (-4.0 - w + (4.0 - 3.0 * w + w**2) * np.exp(w)) / w**3,
+    ):
+        elementwise = integrand(z[..., None] + np.exp(1j * theta)).mean(axis=-1).real
+        assert np.array_equal(sv._contour_mean(integrand, z), elementwise)
+
+
 def _taylor(z: np.ndarray, k: int) -> np.ndarray:
     """phi_k(z) = sum_j z^j / (j + k)!, converged to roundoff for |z| < 1."""
     return sum(z**j / math.factorial(j + k) for j in range(25))

@@ -1,6 +1,7 @@
 """Tests for time integration: exact decay, order, conservation, layout."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ class TestGuards:
     def test_cfl_estimate_zero_field(self, decay_domain):
         assert sv.cfl_estimate(sp.SpectralField.zeros(decay_domain)) == np.inf
 
+    def test_cfl_estimate_matches_summed_squares(self):
+        """The in-place |u|^2 gives the same bits as summing the squares over components."""
+        d = sp.DomainSpec(l1=1.5, l2=1.0, eps=0.1, nu=1.0, n1=6, n2=4, n3=3)
+        grid = sp.default_grid(d)
+        for kind in ("random-divfree", "q-perturbed", "z-independent"):
+            u = sv.make_initial(d, kind, u_target=1.0, seed=4)
+            phys = sp.to_physical(u)
+            vmax = float(np.sqrt(np.max(np.sum(phys**2, axis=0))))
+            h = min(d.l1 / grid[0], d.l2 / grid[1], d.eps / grid[2])
+            assert sv.cfl_estimate(u) == 0.5 * h / vmax, kind
+
     def test_blowup_detected_with_forensics(self):
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1e-6, n1=6, n2=6, n3=2)
         u0 = sv.make_initial(d, "random-divfree", u_target=50.0, seed=2)
@@ -314,3 +326,31 @@ class TestHalfBoxLayout:
         cfg = sv.SolverConfig(dt=1e-3, t_end=6e-3, checkpoint_stride=2)
         res = sv.run(u0, forcing, cfg, out_dir=tmp_path)
         assert len(res.checkpoints) == len(built) == 4
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepMemory:
+    """At (32,32,8), the box32 benchmark's box, on a 98x98x27 product grid."""
+
+    d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=32, n2=32, n3=8)
+
+    def test_nonlinear_term_streams_the_products(self):
+        """One nonlinear_term peaks below 3x the velocity samples' bytes (18.7 MB):
+        the six products (12.4 MB) and their transforms are never held at once."""
+        grid = sp.default_grid(self.d)
+        assert grid == (98, 98, 27)
+        u = sv.make_initial(self.d, "q-perturbed", u_target=1.0, seed=501)
+        assert _traced_peak(lambda: sv.nonlinear_term(u)) < 3 * (3 * math.prod(grid) * 8)
+
+    def test_stepper_weights_per_distinct_z(self):
+        """Building the etd-rk2 factors peaks below 10 MB: the contour integrands run on
+        the distinct values of z, not on every mode's 32 contour points."""
+        assert _traced_peak(lambda: sv._Stepper(self.d, 5e-4, "etd-rk2")) < 10e6
