@@ -13,8 +13,9 @@ config and seed reproduce identical CSV/JSON artifact bytes (manifests carry
 wall time and are exempt).  The default output root is the THINFLOW_OUT_ROOT
 environment variable, falling back to ./thinflow-out.
 
-Exit codes: 0 success, 2 invalid configuration (line-anchored message),
-3 simulation blow-up (forensic dump written to blowup.json).
+Exit codes: 0 success, 2 invalid configuration or input (line-anchored
+message), 3 simulation blow-up (forensic dump written to blowup.json),
+4 numerical failure (a constant-fit LP or the envelope ODE did not converge).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import get_type_hints
 
 import numpy as np
 import scipy
@@ -41,15 +43,7 @@ from .artifacts import record, write_json
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
-
-SCENARIOS = (
-    "simulate",
-    "sweep",
-    "estimate-constants",
-    "verify-inequalities",
-    "rescale-check",
-    "thresholds",
-)
+EXIT_NUMERICAL = 4
 
 
 class ConfigError(Exception):
@@ -110,15 +104,9 @@ def _float_list(cfg: dict, key: str, required: bool = False, default=None):
 
 
 def _domain_from(cfg: dict) -> sp.DomainSpec:
-    return sp.DomainSpec(
-        l1=_coerce(cfg, "l1", float, required=True),
-        l2=_coerce(cfg, "l2", float, required=True),
-        eps=_coerce(cfg, "eps", float, required=True),
-        nu=_coerce(cfg, "nu", float, required=True),
-        n1=_coerce(cfg, "n1", int, required=True),
-        n2=_coerce(cfg, "n2", int, required=True),
-        n3=_coerce(cfg, "n3", int, required=True),
-    )
+    """The DomainSpec fields, in declaration order, each cast to its annotated type."""
+    hints = get_type_hints(sp.DomainSpec)
+    return sp.DomainSpec(**{k: _coerce(cfg, k, cast, required=True) for k, cast in hints.items()})
 
 
 def _out_dir(cfg: dict, scenario: str) -> str:
@@ -204,10 +192,7 @@ def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
         "U": sp.h1_norm(u0),
         "F": forcing.f_bound,
         "M": max(sp.h1_norm(u0), (domain.l1 / domain.nu) * forcing.f_bound),
-        "domain": {
-            "l1": domain.l1, "l2": domain.l2, "eps": domain.eps, "nu": domain.nu,
-            "n1": domain.n1, "n2": domain.n2, "n3": domain.n3,
-        },
+        "domain": record(domain),
         "scheme": run_cfg.scheme,
         "dt": run_cfg.dt,
         "t_end": run_cfg.t_end,
@@ -239,7 +224,11 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
         meta = json.load(fh)
     if meta.get("blowup"):
         raise ConfigError("input run blew up; nothing to verify")
-    domain = sp.DomainSpec(**meta["domain"])
+    try:
+        domain = sp.DomainSpec(**meta["domain"])
+        U, F = meta["U"], meta["F"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{in_dir}/run_meta.json: missing or bad entry: {exc}") from None
     regime = cfg.get("regime", "planar")
     regimes = list(dg.REGIMES) if regime == "all" else [regime]
     slack_rel = _coerce(cfg, "slack_rel", float, default=1e-6)
@@ -257,7 +246,7 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
         os.path.join(out, "inequality_reports.json"), [r.to_dict() for r in all_reports]
     )
     bounds = dg.evaluate_regularity_bounds(
-        series, U=meta["U"], F=meta["F"], l1=domain.l1, l2=domain.l2,
+        series, U=U, F=F, l1=domain.l1, l2=domain.l2,
         nu=domain.nu, eps=domain.eps,
     )
     write_json(os.path.join(out, "regularity_bounds.json"), bounds.to_dict())
@@ -269,7 +258,7 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
     if env_regime is not None and _coerce(cfg, "envelope", bool, default=True):
         fit_reports = [r for r in all_reports if r.name.startswith(env_regime)]
         system = gw.InequalitySystem.from_fits(
-            domain, fit_reports, U=meta["U"], F=meta["F"], regime=env_regime
+            domain, fit_reports, U=U, F=F, regime=env_regime
         )
         env = gw.solve_envelope(system, horizon=float(series.times[-1]), times=series.times)
         containment = gw.check_trajectory(series, system)
@@ -428,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pseudo-spectral thin-box Navier-Stokes experiments",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("-c", "--config", help="key=value config file")
         p.add_argument(
@@ -481,6 +470,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except dg.NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

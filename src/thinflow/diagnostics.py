@@ -43,6 +43,7 @@ __all__ = [
     "DiagnosticSeries",
     "SeriesBuilder",
     "InequalityReport",
+    "NumericalError",
     "RegularityBoundsReport",
     "REGIMES",
     "sample_functionals",
@@ -100,10 +101,12 @@ class DiagnosticSeries:
     def from_csv(cls, path) -> "DiagnosticSeries":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
                 raise ValueError(f"unexpected diagnostics CSV header in {path}")
             rows = [[float(v) for v in row] for row in reader]
+        if not rows:
+            raise ValueError(f"no diagnostics rows in {path}")
         data = np.asarray(rows, dtype=float)
         return cls(*(data[:, i] for i in range(len(CSV_COLUMNS))))
 
@@ -130,8 +133,9 @@ class SeriesBuilder:
         return DiagnosticSeries(*data.T)
 
 
-def _split_norms(u: SpectralField) -> dict[str, float]:
-    """Squared derivative norms of the r, s, w parts without materializing them."""
+def sample_functionals(u: SpectralField) -> tuple:
+    """One diagnostics row (without t and F), see SeriesBuilder.append; the
+    r, s, w parts' squared derivative norms are summed without materializing them."""
     d = u.domain
     vol = d.volume
     ksq = ksq_grid(d)[..., d.n3 :]
@@ -156,29 +160,11 @@ def _split_norms(u: SpectralField) -> dict[str, float]:
     theta2 = vol * _box_sum(abs2)
     du2 = dr2 + ds2 + dw2
     d2u2 = d2r2 + d2s2 + d2w2
-    return {
-        "theta2": theta2,
-        "dr2": dr2, "ds2": ds2, "dw2": dw2,
-        "d2r2": d2r2, "d2s2": d2s2, "d2w2": d2w2,
-        "du2": du2, "d2u2": d2u2,
-    }
-
-
-def sample_functionals(u: SpectralField) -> tuple:
-    """One diagnostics row (without t and F), see SeriesBuilder.append."""
-    n = _split_norms(u)
     sqrt = np.sqrt
-    theta = sqrt(n["theta2"])
-    phi_full = sqrt(n["dr2"] + n["dw2"])
-    psi_full = sqrt(n["ds2"] + n["dw2"])
-    phit_full = sqrt(n["d2r2"] + n["d2w2"])
-    psit_full = sqrt(n["d2s2"] + n["d2w2"])
-    chi = sqrt(n["d2w2"])
-    h1 = sqrt(n["theta2"] + n["du2"])
-    h2 = sqrt(n["theta2"] + n["du2"] + n["d2u2"])
     return (
-        theta, phi_full, psi_full, phit_full, psit_full, chi, h1, h2,
-        sqrt(n["dr2"]), sqrt(n["ds2"]), sqrt(n["d2r2"]), sqrt(n["d2s2"]),
+        sqrt(theta2), sqrt(dr2 + dw2), sqrt(ds2 + dw2), sqrt(d2r2 + d2w2), sqrt(d2s2 + d2w2),
+        sqrt(d2w2), sqrt(theta2 + du2), sqrt(theta2 + du2 + d2u2),
+        sqrt(dr2), sqrt(ds2), sqrt(d2r2), sqrt(d2s2),
     )
 
 
@@ -218,11 +204,6 @@ def _require_planar(u: SpectralField, name: str, tol: float = 1e-12) -> None:
         raise ValueError(f"{name} must be independent of the thin direction")
 
 
-def _planar_slabs(u: SpectralField) -> np.ndarray:
-    """(3, M1, M2) coefficient slab of a z-independent field."""
-    return u.half[..., 0]
-
-
 def _planar_derivs(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> tuple:
     """Samples of the Laplacian and the x and y derivatives of a planar slab on a 2D grid."""
     k1, k2 = (2j * np.pi * k[..., 0] for k in kvec_grids(d)[:2])
@@ -230,7 +211,7 @@ def _planar_derivs(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> tu
     return _synth(lap * slab, grid), _synth(k1 * slab, grid), _synth(k2 * slab, grid)
 
 
-def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = None) -> float:
+def check_enstrophy_miracle(r: SpectralField) -> float:
     """Normalized quadrature of the planar cancellation integral.
 
     For a z-independent, divergence-free horizontal field r the integral
@@ -244,9 +225,8 @@ def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = Non
         raise ValueError("r must have zero vertical component")
     if divergence_defect(r) > 1e-10:
         raise ValueError("r must be divergence-free")
-    if grid is None:
-        grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
-    slab = _planar_slabs(r)[:2]
+    grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
+    slab = r.half[:2, ..., 0]
     ksq = ksq_grid(d)[..., d.n3]
     lap, rx, ry = _planar_derivs(slab, d, grid)
     rp = _synth(slab, grid)
@@ -263,9 +243,7 @@ def check_enstrophy_miracle(r: SpectralField, grid: tuple[int, int] | None = Non
     return abs(integral) / denom
 
 
-def s_transport_residual(
-    r: SpectralField, s: SpectralField, grid: tuple[int, int] | None = None
-) -> float:
+def s_transport_residual(r: SpectralField, s: SpectralField) -> float:
     """|integral of lap(s3) (r . grad s3)| / (||D^2 s3|| ||r . grad s3||).
 
     The analogue of the planar cancellation for the transported vertical
@@ -276,10 +254,9 @@ def s_transport_residual(
     d = r.domain
     _require_planar(r, "r")
     _require_planar(s, "s")
-    if grid is None:
-        grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
-    rslab = _planar_slabs(r)[:2]
-    sslab = _planar_slabs(s)[2]
+    grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
+    rslab = r.half[:2, ..., 0]
+    sslab = s.half[2, ..., 0]
     ksq = ksq_grid(d)[..., d.n3]
     lap_s, sx, sy = _planar_derivs(sslab, d, grid)
     rp = _synth(rslab, grid)
@@ -383,6 +360,10 @@ def _inequality_defs(series: DiagnosticSeries, eps: float, regime: str):
     raise ValueError(f"unknown regime {regime!r}")
 
 
+class NumericalError(RuntimeError):
+    """A numerical method failed to reach a result: a constant-fit LP or an envelope ODE solve."""
+
+
 def _fit_chebyshev(
     lhs: np.ndarray,
     cols: dict[str, np.ndarray],
@@ -445,7 +426,7 @@ def _fit_chebyshev(
             method="highs",
         )
         if not res1.success:
-            raise RuntimeError(f"constant fit LP failed: {res1.message}")
+            raise NumericalError(f"constant fit LP failed: {res1.message}")
         z_star = float(res1.x[0])
         target = z_star + 1e-12 * max(1.0, abs(z_star)) + 1e-10 * lhs_scale
         x = informative_fit(target)
@@ -584,7 +565,6 @@ def evaluate_regularity_bounds(
     l2: float,
     nu: float,
     eps: float,
-    M: float | None = None,
     blowup: dict | None = None,
 ) -> RegularityBoundsReport:
     """Evaluate the H1 conclusion bounds along a finished run.
@@ -592,11 +572,11 @@ def evaluate_regularity_bounds(
     Computes sup_t ||u||_H1, the sup over the trailing window (the last
     quarter of the run, a finite-horizon stand-in for the limsup), and the
     trapezoid integral of ||u||_H2^2; reports the smallest prefactor c that
-    would make each bound hold.  A blown-up run yields a vacuous report: the smallness hypothesis
+    would make each bound hold, with the data size M = max(U, (l1/nu) F).
+    A blown-up run yields a vacuous report: the smallness hypothesis
     M <= c^-1 nu sqrt(l2) / l1 was presumably violated.
     """
-    if M is None:
-        M = max(U, (l1 / nu) * F)
+    M = max(U, (l1 / nu) * F)
     rhs_uniform = max(M, (l1**1.5 / (nu * np.sqrt(l2))) * M**2 / np.sqrt(eps))
     rhs_tail = max((l1 / nu) * F, (l1**3.5 / (nu**3 * np.sqrt(l2))) * F**2 / np.sqrt(eps))
     if blowup is not None:

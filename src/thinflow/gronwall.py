@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .artifacts import record, write_csv
-from .diagnostics import DiagnosticSeries, InequalityReport
+from .diagnostics import DiagnosticSeries, InequalityReport, NumericalError
 from .solver import nonlinear_term
 from .spectral import (
     DomainSpec,
@@ -248,7 +248,7 @@ def solve_envelope(
         max_step=max(float(times[-1]) / 64.0, 1e-12),
     )
     if not sol.success:
-        raise RuntimeError(f"psi envelope integration failed: {sol.message}")
+        raise NumericalError(f"psi envelope integration failed: {sol.message}")
     psi_sq = sol.y[0]
 
     # Closed-form peak/tail bounds traced through the standard chain

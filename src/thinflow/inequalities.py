@@ -41,7 +41,6 @@ from .artifacts import record, write_csv
 from .spectral import (
     DomainSpec,
     SpectralField,
-    hermitian_symmetrize,
     ksq_grid,
     min_nonzero_k,
     mode_range,
@@ -120,11 +119,11 @@ class Field2D:
         quartic *= quartic
         return float((self.area * np.mean(quartic)) ** 0.25)
 
-    def embed(self, eps: float, nu: float = 1.0, n3: int = 1) -> SpectralField:
-        """3D single-component embedding (for checkpointing a maximizer)."""
-        spec = DomainSpec(l1=self.l1, l2=self.l2, eps=eps, nu=nu, n1=self.n1, n2=self.n2, n3=n3)
+    def embed(self, eps: float, nu: float = 1.0) -> SpectralField:
+        """3D single-component embedding with n3 = 1 (for checkpointing a maximizer)."""
+        spec = DomainSpec(l1=self.l1, l2=self.l2, eps=eps, nu=nu, n1=self.n1, n2=self.n2, n3=1)
         out = np.zeros((3,) + spec.shape, dtype=np.complex128)
-        out[0, :, :, n3] = self.coeffs
+        out[0, :, :, 1] = self.coeffs
         return SpectralField(spec, out)
 
 
@@ -500,12 +499,10 @@ def estimate_constant(
             exponents = (4.0,) if inequality == "thin-sup" else (2.5, 3.0, 3.5)
             fixed = [(f"profile-{e}", _thin_profile(domain, e)) for e in exponents]
         else:
+            # the lowest mode lies along x: DomainSpec enforces l1 >= l2 > 4 eps
             lowest = np.zeros((3,) + domain.shape, dtype=np.complex128)
-            axis = int(np.argmax([domain.l1, domain.l2, domain.eps]))
-            idx = [domain.n1, domain.n2, domain.n3]
-            idx[axis] += 1
-            lowest[(0,) + tuple(idx)] = 0.5
-            fixed = [("lowest-mode", SpectralField(domain, hermitian_symmetrize(lowest)))]
+            lowest[0, domain.n1 + 1, domain.n2, domain.n3] = 0.5
+            fixed = [("lowest-mode", SpectralField(domain, _symmetrize(lowest, 3)))]
         families = [
             ("random-0", 1.0),
             ("random-1", (ksq_safe / kmin2) ** -0.5),

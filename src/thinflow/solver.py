@@ -31,6 +31,9 @@ slab, which is alias-free for the same reason, and only that plane is
 projected.  The result has exactly zero p != 0 modes, and the linear factors
 are diagonal, so planar data with planar forcing stays planar and every
 later evaluation takes the slab path too.
+
+Forcing (ForcingSpec) is a Leray-projected profile times a scalar
+amplitude, constant or sinusoidal in time; its bound is derived, not passed.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "Modulation",
     "ForcingSpec",
     "SolverConfig",
     "RunState",
@@ -90,72 +92,60 @@ _REPROJECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Modulation:
-    """Scalar time modulation of a forcing profile: off, constant or sin."""
+class ForcingSpec:
+    """Divergence-free forcing f(t) = amplitude_at(t) * profile.
 
-    kind: str = "constant"
-    amplitude: float = 1.0
+    The profile must already be Leray-projected (and mean-free); the
+    constructors below project it once.  A scalar factor keeps it
+    divergence-free, so evaluations do not project again.  The factor is
+    amplitude when omega == 0 (steady, or off at amplitude 0) and
+    amplitude * sin(omega t + phase) otherwise.  f_bound = sup_t ||f(t)||_2
+    is derived from the profile and the amplitude.
+    """
+
+    profile: SpectralField
+    amplitude: float = 0.0
     omega: float = 0.0
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("off", "constant", "sin"):
-            raise ValueError(f"unknown modulation kind {self.kind!r}")
-        if self.kind == "sin" and self.omega <= 0.0:
-            raise ValueError("sin modulation needs omega > 0")
-
-    def value(self, t: float) -> float:
-        if self.kind == "off":
-            return 0.0
-        if self.kind == "constant":
-            return self.amplitude
-        return self.amplitude * math.sin(self.omega * t + self.phase)
-
-    def sup_abs(self) -> float:
-        return 0.0 if self.kind == "off" else abs(self.amplitude)
-
-
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Divergence-free forcing: a projected profile times a time modulation.
-
-    The profile must already be Leray-projected (and mean-free); the
-    constructors below project it once.  A scalar modulation keeps it
-    divergence-free, so evaluations do not project again.  f_bound is
-    sup_t ||f(t)||_2.
-    """
-
-    profile: SpectralField
-    modulation: Modulation
-    f_bound: float
+        if self.omega < 0.0:
+            raise ValueError(f"forcing needs omega >= 0, got {self.omega}")
 
     @classmethod
     def off(cls, domain: DomainSpec) -> "ForcingSpec":
-        return cls(SpectralField.zeros(domain), Modulation(kind="off"), 0.0)
+        return cls(SpectralField.zeros(domain))
 
     @classmethod
     def steady(cls, profile: SpectralField, amplitude: float = 1.0) -> "ForcingSpec":
-        proj = leray(profile)
-        mod = Modulation(kind="constant", amplitude=amplitude)
-        return cls(proj, mod, norm_l2(proj) * mod.sup_abs())
+        return cls(leray(profile), amplitude)
 
     @classmethod
     def sinusoidal(
         cls, profile: SpectralField, omega: float, amplitude: float = 1.0, phase: float = 0.0
     ) -> "ForcingSpec":
-        proj = leray(profile)
-        mod = Modulation(kind="sin", amplitude=amplitude, omega=omega, phase=phase)
-        return cls(proj, mod, norm_l2(proj) * mod.sup_abs())
+        if omega <= 0.0:
+            raise ValueError("sinusoidal forcing needs omega > 0")
+        return cls(leray(profile), amplitude, omega, phase)
+
+    @property
+    def f_bound(self) -> float:
+        return norm_l2(self.profile) * abs(self.amplitude)
+
+    def amplitude_at(self, t: float) -> float:
+        if self.omega == 0.0:
+            return self.amplitude
+        return self.amplitude * math.sin(self.omega * t + self.phase)
 
     def value(self, t: float) -> SpectralField:
-        return self.profile * self.modulation.value(t)
+        return self.profile * self.amplitude_at(t)
 
     def l2_at(self, t: float) -> float:
-        return norm_l2(self.profile) * abs(self.modulation.value(t))
+        return norm_l2(self.profile) * abs(self.amplitude_at(t))
 
     def _raw(self, t: float) -> np.ndarray | None:
         """The p >= 0 half box of value(t), or None when it is zero."""
-        a = self.modulation.value(t)
+        a = self.amplitude_at(t)
         if a == 0.0:
             return None
         return self.profile.half * a
@@ -385,10 +375,10 @@ def _contour_mean(integrand, z: np.ndarray) -> np.ndarray:
 _get_stepper = lru_cache(maxsize=32)(_Stepper)
 
 
-def _check_blowup(u: SpectralField, t: float, step_no: int, threshold: float) -> None:
+def _check_blowup(u: SpectralField, t: float, step_no: int) -> None:
     """Raise BlowUpError, with a report on the full box, unless u is finite and bounded."""
     max_coeff = float(np.max(np.abs(u.half)))
-    if np.isfinite(max_coeff) and max_coeff <= threshold:
+    if np.isfinite(max_coeff) and max_coeff <= _BLOWUP_THRESHOLD:
         return
     coeffs = u.coeffs
     finite = np.nan_to_num(coeffs, nan=0.0, posinf=0.0, neginf=0.0)
@@ -408,7 +398,7 @@ def step(state: RunState, forcing: ForcingSpec | None, cfg: SolverConfig) -> Run
     spec = state.u.domain
     stepper = _get_stepper(spec, cfg.dt, cfg.scheme)
     u = SpectralField._wrap(spec, stepper.advance(state.u.half, state.t, forcing))
-    _check_blowup(u, state.t + cfg.dt, state.step + 1, _BLOWUP_THRESHOLD)
+    _check_blowup(u, state.t + cfg.dt, state.step + 1)
     if divergence_defect(u) > _REPROJECT_TOL:
         u = leray(u)
     return RunState(u=u, t=state.t + cfg.dt, step=state.step + 1)
@@ -545,7 +535,6 @@ def make_initial(
             * np.cos(2 * np.pi * X / domain.l1)
             * np.sin(2 * np.pi * Y / domain.l2)
         )
-        phys = np.broadcast_to(phys, (3,) + grid).copy()
         base = leray(to_spectral(phys, domain))
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")

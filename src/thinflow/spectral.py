@@ -16,10 +16,10 @@ checkpoints and tests only.
 
 Coefficients from outside (a SpectralField or planar Field2D built from a
 user array or a checkpoint) pass one checked construction, because silent
-drift would make fields complex: one symmetrizer, (c + conj(flip c)) / 2
-over the mode axes, then a defect check.  Everything else works on the half
-box and needs no such repair.  Synthesis embeds its n3 + 1 planes in a
-zeroed c2r input of the z grid's full size, transforms them over (x, y) in
+drift would make fields complex: one symmetrizer, (c + conj(flip c)) / 2 over
+the mode axes, then a finiteness and defect check.  Everything else works on
+the half box and needs no such repair.  Synthesis embeds its n3 + 1 planes in
+a zeroed c2r input of the z grid's full size, transforms them over (x, y) in
 place and finishes with a c2r along z; analysis runs an r2c along z, keeps
 n3 + 1 planes, transforms only those over (x, y) and symmetrizes the p = 0
 plane.  Diagonal operators have even (or, times i, odd) multipliers and keep
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +52,6 @@ from scipy.fft import fftn, ifftn, irfft, rfft
 __all__ = [
     "DomainSpec",
     "SpectralField",
-    "hermitian_symmetrize",
     "mode_range",
     "ksq_grid",
     "kvec_grids",
@@ -178,17 +177,14 @@ def _symmetrize(raw: np.ndarray, nd: int) -> np.ndarray:
     return 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(-nd, 0)))))
 
 
-def hermitian_symmetrize(raw: np.ndarray) -> np.ndarray:
-    """Project onto Hermitian-symmetric arrays over the last three axes."""
-    return _symmetrize(raw, 3)
-
-
 def _checked_hermitian(coeffs, shape: tuple[int, ...], nd: int) -> np.ndarray:
-    """Read-only symmetrization, zero mode pinned, of outside input of the given shape,
+    """Read-only symmetrization, zero mode pinned, of finite outside input of the given shape,
     which must be Hermitian over its last nd axes to a relative defect of _HERMITIAN_TOL."""
     arr = np.asarray(coeffs, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"coefficient shape {arr.shape} does not match {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite (no NaN or inf)")
     sym = _symmetrize(arr, nd)
     scale = float(np.max(np.abs(sym))) if sym.size else 0.0
     defect = float(np.max(np.abs(arr - sym)))
@@ -580,10 +576,7 @@ def divergence_defect(f: SpectralField) -> float:
 
 
 def random_field(
-    domain: DomainSpec,
-    rng: np.random.Generator,
-    slope: float = 0.0,
-    components: int = 3,
+    domain: DomainSpec, rng: np.random.Generator, slope: float = 0.0
 ) -> SpectralField:
     """Random Hermitian mean-zero field with a power-law spectral envelope.
 
@@ -593,14 +586,12 @@ def random_field(
     """
     shape = (3,) + domain.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if components < 3:
-        raw[components:] = 0.0
     if slope != 0.0:
         ksq = ksq_grid(domain).copy()
         kmin2 = min_nonzero_k(domain) ** 2
         ksq[domain.n1, domain.n2, domain.n3] = kmin2
         raw *= (ksq / kmin2) ** (slope / 2.0)
-    return SpectralField(domain, hermitian_symmetrize(raw))
+    return SpectralField(domain, _symmetrize(raw, 3))
 
 
 def save_checkpoint(
@@ -617,16 +608,9 @@ def save_checkpoint(
     coefficients as little-endian complex128 in C order with index layout
     [component, m + n1, n + n2, p + n3].
     """
-    d = f.domain
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "l1": d.l1,
-        "l2": d.l2,
-        "eps": d.eps,
-        "nu": d.nu,
-        "n1": d.n1,
-        "n2": d.n2,
-        "n3": d.n3,
+        **asdict(f.domain),
         "time": time,
         "step": step,
     }
@@ -645,15 +629,10 @@ def load_checkpoint(path) -> tuple[SpectralField, dict]:
         header = json.loads(header_line.decode("ascii"))
         if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format: {header.get('format_version')}")
-        domain = DomainSpec(
-            l1=header["l1"],
-            l2=header["l2"],
-            eps=header["eps"],
-            nu=header["nu"],
-            n1=header["n1"],
-            n2=header["n2"],
-            n3=header["n3"],
-        )
+        try:
+            domain = DomainSpec(**{f.name: header[f.name] for f in fields(DomainSpec)})
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint header has no {exc.args[0]!r}") from None
         payload = fh.read()
     expected = 16 * 3 * int(np.prod(domain.shape))
     if len(payload) != expected:

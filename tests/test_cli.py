@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from thinflow import cli
+from thinflow import gronwall as gw
 from thinflow.diagnostics import DiagnosticSeries
 
 PLANAR_CFG = """\
@@ -309,3 +310,54 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert (tmp_path / "th" / "thresholds.csv").exists()
+
+
+class TestInputAndNumericalErrors:
+    @pytest.fixture
+    def run_dir(self, planar_cfg, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "-c", planar_cfg, "--out", str(out), "--set", "t_end=0.02"]) == 0
+        return out
+
+    def verify(self, run_dir, tmp_path):
+        return run_cli([
+            "verify-inequalities", "--out", str(tmp_path / "verify"),
+            "--set", f"in={run_dir}", "--set", "regime=planar",
+        ])
+
+    @pytest.mark.parametrize("lines, message", [
+        (0, "unexpected diagnostics CSV header"), (1, "no diagnostics rows"),
+    ], ids=["empty", "header-only"])
+    def test_truncated_diagnostics_csv(self, run_dir, tmp_path, capsys, lines, message):
+        csv_path = run_dir / "diagnostics.csv"
+        csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:lines]))
+        assert self.verify(run_dir, tmp_path) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [["domain"], ["U"], ["F"], ["domain", "nu"]])
+    def test_run_meta_missing_key(self, run_dir, tmp_path, capsys, path):
+        meta_path = run_dir / "run_meta.json"
+        meta = json.loads(meta_path.read_text())
+        *parents, key = path
+        owner = meta[parents[0]] if parents else meta
+        del owner[key]
+        meta_path.write_text(json.dumps(meta))
+        assert self.verify(run_dir, tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "run_meta.json" in err and repr(key) in err
+
+    def test_envelope_failure_exit_code(self, run_dir, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise gw.NumericalError("psi envelope integration failed: overflow")
+
+        monkeypatch.setattr(gw, "solve_envelope", failing)
+        assert self.verify(run_dir, tmp_path) == cli.EXIT_NUMERICAL
+        assert "psi envelope integration failed" in capsys.readouterr().err
+
+    def test_other_runtime_errors_propagate(self, run_dir, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NotImplementedError("not a numerical failure")
+
+        monkeypatch.setattr(gw, "solve_envelope", failing)
+        with pytest.raises(NotImplementedError):
+            self.verify(run_dir, tmp_path)

@@ -1,5 +1,6 @@
 """Tests for norm functionals, identity checks, and the inequality fitter."""
 
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -162,6 +163,12 @@ class TestDiffInequalities:
         assert energy.passed
         assert energy.fitted_constants["damping"] == pytest.approx(2 * d.nu, rel=1e-4)
         assert energy.residual_max <= energy.slack
+
+    def test_lp_failure_is_numerical_error(self, monkeypatch):
+        failed = SimpleNamespace(success=False, message="solver status 4", x=None)
+        monkeypatch.setattr(dg, "linprog", lambda *args, **kwargs: failed)
+        with pytest.raises(dg.NumericalError, match="constant fit LP failed"):
+            dg._fit_chebyshev(np.ones(6), {"damping": -np.ones(6)}, {"damping": (0.0, 1e9)})
 
     def test_zero_trajectory_trivially_passes(self, small_domain):
         fields = [sp.SpectralField.zeros(small_domain)] * 8

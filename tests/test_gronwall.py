@@ -1,6 +1,7 @@
 """Tests for comparison envelopes, rescaling, and threshold tables."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +109,12 @@ class TestEnvelope:
     def test_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             gw.solve_envelope(base_system(), horizon=0.0)
+
+    def test_integration_failure_is_numerical_error(self, monkeypatch):
+        failed = SimpleNamespace(success=False, message="step size underflow")
+        monkeypatch.setattr(gw, "solve_ivp", lambda *args, **kwargs: failed)
+        with pytest.raises(dg.NumericalError, match="psi envelope integration failed"):
+            gw.solve_envelope(base_system(), horizon=1.0)
 
 
 class TestContainment:

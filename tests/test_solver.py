@@ -254,16 +254,17 @@ class TestForcing:
         f = sv.ForcingSpec.sinusoidal(sp.random_field(d, rng), omega=2.0, amplitude=0.5)
         assert f._raw(0.0) is None  # sin(0) = 0: no forcing term at all
         for t in (0.3, 1.1):
-            a = f.modulation.value(t)
+            a = f.amplitude_at(t)
             # the stepper's forcing term: the p >= 0 half box of the profile times a
             assert np.array_equal(f._raw(t), f.profile.coeffs[..., d.n3 :] * a)
             assert np.array_equal(f.value(t).coeffs, f.profile.coeffs * a)
 
     def test_modulation_validation(self):
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=2, n2=2, n3=1)
         with pytest.raises(ValueError, match="omega"):
-            sv.Modulation(kind="sin", omega=0.0)
-        with pytest.raises(ValueError, match="kind"):
-            sv.Modulation(kind="ramp")
+            sv.ForcingSpec.sinusoidal(sp.SpectralField.zeros(d), omega=0.0)
+        with pytest.raises(ValueError, match="omega"):
+            sv.ForcingSpec(sp.SpectralField.zeros(d), amplitude=1.0, omega=-1.0)
 
 
 class TestMakeInitial:

@@ -5,6 +5,8 @@ physical-grid quadrature for Parseval, finite differences for the derivative
 multiplier, per-mode orthogonality for the projections.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,16 @@ def test_checked_construction_is_exactly_hermitian(rng, make, shape, nd):
     assert np.array_equal(near, before)  # the input is never written
     with pytest.raises(ValueError, match="Hermitian"):
         make(near + 1e-3 * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("make, shape, nd", _HERMITIAN_BOXES, ids=["2d", "3d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checked_construction_rejects_non_finite(rng, make, shape, nd, bad):
+    one = sp._symmetrize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), nd)
+    one[(0,) * len(shape)] = bad
+    for coeffs in (one, np.full(shape, bad, dtype=complex)):
+        with pytest.raises(ValueError, match="finite"):
+            make(coeffs)
 
 
 class TestFieldConstruction:
@@ -366,6 +378,48 @@ class TestCheckpoint:
         np.testing.assert_allclose(
             payload.reshape((3,) + small_domain.shape), f.coeffs, atol=0
         )
+
+    def test_pinned_bytes(self, tmp_path):
+        """The whole file of a hand-built field: the sorted-key header line, then
+        each coefficient as little-endian (re, im) doubles in [j, m + n1, n + n2, p + n3]
+        order.  The p < 0 plane is the conjugate mirror of p > 0, so its zeros are 0 - 0j."""
+        d = sp.DomainSpec(l1=2.0, l2=1.0, eps=0.125, nu=0.5, n1=1, n2=1, n3=1)
+        # (component, m, n, p) -> coefficient, each with its conjugate mirror
+        modes = {(0, 1, 0, 1): complex(1.0, 2.0), (2, 0, 1, 0): complex(0.0, -0.5)}
+        c = np.zeros((3,) + d.shape, dtype=complex)
+        for (j, m, n, p), v in modes.items():
+            c[j, 1 + m, 1 + n, 1 + p] = v
+            c[j, 1 - m, 1 - n, 1 - p] = np.conj(v)
+        path = tmp_path / "pinned.ckpt"
+        sp.save_checkpoint(sp.SpectralField(d, c), path, time=0.25, step=7)
+        header = (
+            b'{"eps": 0.125, "format_version": 1, "l1": 2.0, "l2": 1.0, '
+            b'"n1": 1, "n2": 1, "n3": 1, "nu": 0.5, "step": 7, "time": 0.25}\n'
+        )
+        payload = bytearray(16 * 81)
+        for flat in range(0, 81, 3):  # p = -1 is the first of each run of 3
+            payload[16 * flat + 8 : 16 * flat + 16] = struct.pack("<d", -0.0)
+        for (j, m, n, p), v in modes.items():
+            for sign, w in ((1, v), (-1, np.conj(v))):
+                flat = ((j * 3 + 1 + sign * m) * 3 + 1 + sign * n) * 3 + 1 + sign * p
+                payload[16 * flat : 16 * flat + 16] = struct.pack("<dd", w.real, w.imag)
+        assert path.read_bytes() == header + bytes(payload)
+
+    def test_rejects_non_finite_payload(self, small_domain, rng, tmp_path):
+        path = tmp_path / "field.ckpt"
+        sp.save_checkpoint(sp.random_field(small_domain, rng), path)
+        blob = bytearray(path.read_bytes())
+        blob[-16:-8] = struct.pack("<d", np.inf)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="finite"):
+            sp.load_checkpoint(path)
+
+    def test_missing_header_key(self, small_domain, rng, tmp_path):
+        path = tmp_path / "field.ckpt"
+        sp.save_checkpoint(sp.random_field(small_domain, rng), path)
+        path.write_bytes(path.read_bytes().replace(b'"nu": 1.0, ', b""))
+        with pytest.raises(ValueError, match=r"field\.ckpt.*'nu'"):
+            sp.load_checkpoint(path)
 
     def test_version_check(self, small_domain, rng, tmp_path):
         f = sp.random_field(small_domain, rng)
