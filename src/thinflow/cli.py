@@ -234,9 +234,11 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
     slack_rel = _coerce(cfg, "slack_rel", float, default=1e-6)
     artifacts = []
     all_reports = []
+    # the input directory's own name: the reports do not depend on how its path was written
+    trajectory_id = os.path.basename(os.path.abspath(in_dir))
     for reg in regimes:
         reports = dg.check_diff_inequalities(
-            series, eps=domain.eps, regime=reg, slack_rel=slack_rel, trajectory_id=in_dir
+            series, eps=domain.eps, regime=reg, slack_rel=slack_rel, trajectory_id=trajectory_id
         )
         all_reports.extend(reports)
         trace_name = f"residual_traces_{reg}.csv"

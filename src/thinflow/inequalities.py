@@ -3,11 +3,15 @@
 estimate_constant maximizes the ratio LHS/RHS of an inequality over trial
 fields plus a derivative-free refinement pass, so every reported constant is
 a certified lower bound on the true one: the maximizing field is stored and
-reproduces the ratio.  Upper bounds are never claimed.  Planar and 3D
+reproduces the ratio.  Where the retained mode box admits a closed-form
+upper bound (_upper_bound), the estimate carries it too, so [max_ratio,
+upper_bound] brackets the constant on the discrete space.  Planar and 3D
 inequalities share one pipeline: a list of deterministic near-extremal
 trials, then one random loop that picks a family and draws complex white
 noise times that family's envelope (computed once per call), then
-coordinate ascent on the best trial.
+coordinate ascent on the best trial.  When a deterministic trial already
+meets the upper bound (thin-sup, poincare, hausdorff-young at p = 2 and
+p = inf), the bracket is closed and the random trials and the ascent are skipped.
 
 Inequalities (keys accepted by estimate_constant):
 
@@ -46,6 +50,7 @@ from .spectral import (
     mode_range,
     norm_ds,
     norm_l2,
+    poincare_constant,
     _checked_hermitian,
     _box_sum,
     _half_shape,
@@ -351,7 +356,8 @@ def single_mode_floor_planar_l4(l1: float = 1.0, l2: float = 1.0) -> float:
 
 @dataclass
 class ConstantEstimate:
-    """Best found LHS/RHS ratio with the maximizing field."""
+    """Best found LHS/RHS ratio with the maximizing field, and the closed-form
+    upper bound on the ratio over the retained box (None where there is none)."""
 
     inequality: str
     l1: float
@@ -362,6 +368,7 @@ class ConstantEstimate:
     max_ratio: float
     maximizer: object
     best_trial_kind: str
+    upper_bound: float | None = None
     params: dict = field(default_factory=dict)
     ensemble_best: dict = field(default_factory=dict)
 
@@ -435,6 +442,43 @@ def _refine_coordinates(best, ratio_fn, budget: int):
     return (make(coeffs) if improved_any else best), best_ratio
 
 
+#: relative gap under which the best deterministic ratio meets the upper bound
+_BRACKET_RTOL = 1e-12
+
+
+def _upper_bound(inequality: str, domain: DomainSpec, params: dict) -> float | None:
+    """Closed-form upper bound on the ratio over the retained mode box.
+
+    With a_k = 2 pi |k|, S = sum over the p != 0 modes of a_k^-4 and V the
+    box volume:
+
+        thin-sup         (S/V)^(1/2): sup |w| <= sum |c_k|, then Cauchy-Schwarz
+                         against ||D^2 w||_2^2 = V sum a_k^4 |c_k|^2; positive
+                         coefficients proportional to |k|^-4 attain it
+        thin-l4          (S/V)^(1/4): Hausdorff-Young ||w||_4 <= V^(1/4) ||c||_(4/3),
+                         then Hoelder with exponents (3/2, 3)
+        planar-l4        A^(-1/4) (sum_{r != 0} a_r^-2)^(1/4), the same argument
+                         against D^(1/2) on the horizontal box of area A
+        poincare         poincare_constant, attained by the lowest mode
+        hausdorff-young  1 for p >= 2 (Riesz-Thorin; Parseval-exact at p = 2),
+                         None below 2
+
+    The bounds hold for the exact norms; the sup is read off grid samples,
+    which cannot exceed it, and the L4 quadrature is exact.
+    """
+    if inequality in ("thin-sup", "thin-l4"):
+        a2 = 4.0 * np.pi**2 * np.delete(np.asarray(ksq_grid(domain)), domain.n3, axis=-1)
+        s_over_v = float(np.sum(a2**-2.0)) / domain.volume
+        return s_over_v ** (0.5 if inequality == "thin-sup" else 0.25)
+    if inequality == "planar-l4":
+        kmag = _planar_kmag(domain.l1, domain.l2, domain.n1, domain.n2)
+        s = float(np.sum((2.0 * np.pi * kmag[kmag > 0]) ** -2.0))
+        return (s / (domain.l1 * domain.l2)) ** 0.25
+    if inequality == "poincare":
+        return poincare_constant(domain, params["alpha"])
+    return 1.0 if params["p"] >= 2.0 else None
+
+
 def estimate_constant(
     inequality: str,
     domain: DomainSpec,
@@ -447,9 +491,13 @@ def estimate_constant(
 ) -> ConstantEstimate:
     """Randomized lower-bound estimation of an inequality constant.
 
-    budget counts ratio evaluations and is split between the trials (the
+    budget caps the ratio evaluations and is split between the trials (the
     deterministic ones, then random draws from white, power-law or dyadic
     block families) and the coordinate-ascent refinement of the best trial.
+    A closed bracket stops the search: when the best deterministic ratio is
+    within _BRACKET_RTOL of the closed-form upper bound, no trial can raise
+    it, so the random trials and the refinement are skipped and trial_count
+    reports the trials actually made.
     """
     if inequality not in INEQUALITIES:
         raise ValueError(f"unknown inequality {inequality!r}; pick one of {INEQUALITIES}")
@@ -535,14 +583,16 @@ def estimate_constant(
 
     for kind, trial in fixed:
         consider(trial, kind)
-    while trials < trial_budget:
+    upper = _upper_bound(inequality, domain, params)
+    closed = upper is not None and best_ratio >= upper * (1.0 - _BRACKET_RTOL)
+    while trials < trial_budget and not closed:
         family = families[int(rng.integers(0, len(families)))]
         if isinstance(family, list):
             family = family[int(rng.integers(0, len(family)))]
         kind, env = family
         consider(random_trial(env), kind)
 
-    if refine and refine_budget > 0:
+    if refine and refine_budget > 0 and not closed:
         refined, refined_ratio = _refine_coordinates(best, ratio_fn, refine_budget)
         if refined_ratio > best_ratio:
             best, best_ratio = refined, refined_ratio
@@ -559,6 +609,7 @@ def estimate_constant(
         max_ratio=best_ratio,
         maximizer=best,
         best_trial_kind=best_kind,
+        upper_bound=upper,
         params=params,
         ensemble_best=ensemble_best,
     )
@@ -640,9 +691,18 @@ def thin_sweep_resolution(
 
 
 def write_sweep_csv(path, eps_values, estimates: list[ConstantEstimate]) -> None:
-    """One row per estimate; eps is written as str(eps), so 0.1 stays 0.1."""
+    """One row per estimate; eps is written as str(eps), so 0.1 stays 0.1.
+
+    max_ratio and upper_bound are the two ends of the bracket; upper_bound is
+    an empty cell where the inequality has no closed-form bound, and trials
+    is the number of trials made (fewer than the budget allows when the
+    bracket closed).
+    """
     rows = []
     for eps, est in zip(eps_values, estimates):
         res = est.resolution if len(est.resolution) == 3 else est.resolution + (0,)
-        rows.append([str(eps), *res, est.max_ratio, est.trial_count, est.best_trial_kind])
-    write_csv(path, ["eps", "n1", "n2", "n3", "max_ratio", "trials", "best_kind"], rows)
+        rows.append([
+            str(eps), *res, est.max_ratio, est.upper_bound, est.trial_count, est.best_trial_kind
+        ])
+    header = ["eps", "n1", "n2", "n3", "max_ratio", "upper_bound", "trials", "best_kind"]
+    write_csv(path, header, rows)

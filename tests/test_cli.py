@@ -183,6 +183,21 @@ class TestVerifyInequalities:
         reports = json.loads((out / "inequality_reports.json").read_text())
         assert len(reports) == 9
 
+    def test_reports_do_not_depend_on_the_input_path(self, planar_cfg, tmp_path, monkeypatch):
+        """An absolute and a relative path to one simulate directory give
+        byte-identical reports: trajectory_id is the directory's own name."""
+        assert run_cli(["simulate", "-c", planar_cfg, "--out", str(tmp_path / "run")]) == 0
+        monkeypatch.chdir(tmp_path)
+        for out, in_dir in (("abs", str(tmp_path / "run")), ("rel", "./run/")):
+            rc = run_cli([
+                "verify-inequalities", "--out", out, "--set", f"in={in_dir}",
+                "--set", "regime=planar", "--set", "envelope=false",
+            ])
+            assert rc == cli.EXIT_OK
+        reports = (tmp_path / "abs" / "inequality_reports.json").read_bytes()
+        assert reports == (tmp_path / "rel" / "inequality_reports.json").read_bytes()
+        assert {r["trajectory_id"] for r in json.loads(reports)} == {"run"}
+
     def test_missing_input_dir(self, tmp_path, capsys):
         rc = run_cli(["verify-inequalities", "--out", str(tmp_path / "v")])
         assert rc == cli.EXIT_CONFIG
@@ -217,7 +232,7 @@ class TestEstimateAndSweep:
         assert est["maximizer_checkpoint"] == "maximizer.ckpt"
         assert (out / "maximizer.ckpt").exists()
         assert (out / "ratios.csv").read_text().splitlines()[0] == (
-            "eps,n1,n2,n3,max_ratio,trials,best_kind"
+            "eps,n1,n2,n3,max_ratio,upper_bound,trials,best_kind"
         )
 
     def test_sweep_structure_and_fit(self, tmp_path):

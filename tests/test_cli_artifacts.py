@@ -1,11 +1,11 @@
 """Every CLI scenario writes the same JSON and CSV artifacts as the stored references.
 
-tests/data/cli/ holds the JSON and CSV files that the six scenarios below
+tests/data/cli/ holds the JSON and CSV files that the seven scenarios below
 wrote on small configs, one subdirectory per scenario (checkpoints and
-manifest.json, which carries wall time, are left out).  The scenarios run
-with relative output paths from one working directory, so paths that enter
-an artifact (verify-inequalities' trajectory_id) are the same on every
-machine.  The comparison pins the schemas: the set of files, every CSV
+manifest.json, which carries wall time, are left out).  No artifact depends
+on the paths a scenario is given: verify-inequalities writes only its input
+directory's own name (trajectory_id), whether the path is absolute or
+relative.  The comparison pins the schemas: the set of files, every CSV
 header and row length, every JSON key, and every string, int, bool and null
 exactly; numbers match to rtol 1e-10, atol 0, the rule of
 ``conftest.assert_matches_reference``.  To write the files from the current

@@ -160,6 +160,49 @@ class TestEstimators:
         est = iq.estimate_constant("hausdorff-young", thin_box, budget=15, seed=3, p=2.0, refine=False)
         assert est.max_ratio == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("inequality", ["thin-sup", "poincare"])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_closed_bracket_stops_after_the_deterministic_trial(self, thin_box, inequality, refine):
+        """profile-4.0 and the lowest mode attain the closed-form bound, so no
+        random trial or ascent step can raise max_ratio."""
+        est = iq.estimate_constant(inequality, thin_box, budget=20, seed=2, refine=refine)
+        assert est.trial_count == 1
+        assert est.max_ratio == pytest.approx(est.upper_bound, rel=1e-12, abs=0.0)
+        assert list(est.ensemble_best) == [est.best_trial_kind]
+
+    def test_closed_bound_values(self, thin_box):
+        """thin-sup's bound is the Cauchy-Schwarz sum over the p != 0 modes,
+        written over the full box; poincare's is the sharp constant."""
+        ksq = np.asarray(sp.ksq_grid(thin_box))
+        p_nonzero = np.arange(-thin_box.n3, thin_box.n3 + 1) != 0
+        s = np.sum((2 * np.pi) ** -4 * ksq[..., p_nonzero] ** -2)
+        sup = iq.estimate_constant("thin-sup", thin_box, budget=4, seed=0)
+        assert sup.upper_bound == pytest.approx(np.sqrt(s / thin_box.volume), rel=1e-13)
+        poincare = iq.estimate_constant("poincare", thin_box, budget=4, seed=0, alpha=0.5)
+        assert poincare.upper_bound == sp.poincare_constant(thin_box, 0.5)
+
+    @pytest.mark.parametrize("inequality", ["thin-l4", "planar-l4", "hausdorff-young"])
+    def test_open_bracket_spends_the_budget(self, thin_box, inequality):
+        est = iq.estimate_constant(inequality, thin_box, budget=12, seed=5, p=4.0, refine=False)
+        assert est.trial_count == 12
+        assert est.max_ratio < est.upper_bound * (1 - 1e-3)
+
+    def test_hausdorff_young_bound_only_above_two(self, thin_box):
+        for p, bound in ((1.5, None), (2.0, 1.0), (4.0, 1.0), (np.inf, 1.0)):
+            est = iq.estimate_constant("hausdorff-young", thin_box, budget=6, seed=3, p=p, refine=False)
+            assert est.upper_bound == bound
+        # Parseval: every trial meets the bound, so the three profiles are all it takes
+        parseval = iq.estimate_constant("hausdorff-young", thin_box, budget=15, seed=3, p=2.0)
+        assert parseval.trial_count == 3
+
+    def test_planar_l4_bound_grows_slowly(self):
+        """The Hoelder bound grows like (log n)^(1/4) on the unit square."""
+        bounds = []
+        for n in (16, 32, 64):
+            d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=n, n2=n, n3=1)
+            bounds.append(iq._upper_bound("planar-l4", d, {}))
+        np.testing.assert_allclose(bounds, [0.853, 0.893, 0.929], atol=5e-4)
+
     def test_thin_trials_live_in_q_range(self, thin_box):
         est = iq.estimate_constant("thin-sup", thin_box, budget=10, seed=4, refine=False)
         w = est.maximizer
@@ -279,7 +322,7 @@ class TestScalingFit:
         path = tmp_path / "sweep.csv"
         iq.write_sweep_csv(path, [thin_box.eps], [est])
         lines = path.read_text().splitlines()
-        assert lines[0] == "eps,n1,n2,n3,max_ratio,trials,best_kind"
+        assert lines[0] == "eps,n1,n2,n3,max_ratio,upper_bound,trials,best_kind"
         assert len(lines) == 2
 
 

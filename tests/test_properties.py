@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from thinflow import diagnostics as dg
 from thinflow import gronwall as gw
+from thinflow import inequalities as iq
 from thinflow import solver as sv
 from thinflow import spectral as sp
 
@@ -323,3 +324,21 @@ def test_half_box_reductions_equal_full_box_sums(domain, seed):
         np.testing.assert_allclose(
             dg.sample_functionals(u), _full_box_functionals(u), rtol=1e-13, atol=0
         )
+
+
+@drawn
+@given(
+    domain=domains(max_n=3),
+    inequality=st.sampled_from(iq.INEQUALITIES),
+    p=st.sampled_from([2.0, 3.0, 4.0, math.inf]),
+    alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    refine=st.booleans(),
+    seed=seeds,
+)
+def test_estimate_never_exceeds_its_upper_bound(domain, inequality, p, alpha, refine, seed):
+    """Every ratio the search finds lies below the closed-form upper bound."""
+    est = iq.estimate_constant(
+        inequality, domain, budget=8, seed=seed, p=p, alpha=alpha, refine=refine
+    )
+    if est.upper_bound is not None:
+        assert est.max_ratio <= est.upper_bound * (1 + 1e-12)
