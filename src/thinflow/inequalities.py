@@ -26,11 +26,12 @@ and eps^(1/4) (L4 case); fit_eps_scaling turns a sweep of estimates into a
 log-log slope.  The sup norm is approximated on a 4x oversampled grid
 (documented approximation: the sup of a band-limited function is read off
 dense samples); the L4 norms use exact quadrature of the quartic.  Both
-grid norms synthesize each nonzero velocity component's p >= 0 slabs
-horizontally (the x pass runs on the occupied y columns only), then reduce
-|u|^2 block by block of grid columns (_grid_mag2_blocks): the z synthesis of
-a block is one small real matrix product, and the full 3D grid is never
-held.  The 3D random trials are drawn in one component.
+grid norms reduce |u|^2 block by block of grid columns (_grid_mag2_blocks):
+the x pass of each nonzero velocity component's p >= 0 planes runs once, on
+the occupied y columns only, and each block runs the y pass on the x rows it
+spans and the z synthesis as one small real matrix product, so neither the
+full 3D grid nor a horizontal slab is held.  The 3D random trials are drawn
+in one component, and the thin profiles are built on the p >= 0 half box.
 """
 
 from __future__ import annotations
@@ -184,27 +185,6 @@ def dyadic_decompose(f: Field2D) -> DyadicProfile:
 # Ratio evaluation.
 # ---------------------------------------------------------------------------
 
-def _xy_synthesis(comp: np.ndarray, grid_xy: tuple[int, int]) -> np.ndarray:
-    """The p >= 0 slabs of one component on the horizontal grid, as a complex
-    (n3 + 1, gx * gy) array.
-
-    comp holds the (M1, M2, n3 + 1) coefficients with p = 0 .. n3.  The x
-    pass runs on the M2 occupied y columns only, then the y pass on the
-    embedded (gx, gy) slabs: the same arithmetic, in the same axis order, as
-    one ifft2 over both axes, whose x pass would transform gy - M2 columns
-    of exact zeros into exact zeros.
-    """
-    n1, n2, n_pos = comp.shape[0] // 2, comp.shape[1] // 2, comp.shape[2]
-    gx, gy = grid_xy
-    columns = np.zeros((n_pos, gx, comp.shape[1]), dtype=np.complex128)
-    columns[:, np.arange(-n1, n1 + 1) % gx] = np.moveaxis(comp, -1, 0)
-    columns = ifft2(columns, axes=(-2,), norm="forward", workers=1, overwrite_x=True)
-    slabs = np.zeros((n_pos, gx, gy), dtype=np.complex128)
-    slabs[:, :, np.arange(-n2, n2 + 1) % gy] = columns
-    slabs = ifft2(slabs, axes=(-1,), norm="forward", workers=1, overwrite_x=True)
-    return slabs.reshape(n_pos, gx * gy)
-
-
 #: grid columns (xy points) per block of the blocked |u|^2 reduction
 _BLOCK = 4096
 
@@ -214,38 +194,60 @@ def _grid_mag2_blocks(u: SpectralField, grid: tuple[int, int, int]):
     of the (gz, gx * gy) array at a time, in column order.
 
     The p < 0 slabs are the conjugate mirrors of the p >= 0 ones, so
-    w(., ., z) = W_0 + 2 Re sum_{p>0} W_p e^(2 pi i p z / eps): after one xy
-    synthesis per component, the z synthesis of a block of columns is one
-    real matrix product of cos / -sin weights with the stacked real and
-    imaginary parts of W_p there.  Each block copies those parts into one
-    small stack, squares the product and sums it over the components, in
-    component order; every element is the same dot product as in a product
-    over all columns at once, so the samples do not depend on the blocking.
-    Components that are identically zero are skipped, and the full grid is
-    never held.  A field with no nonzero component yields a single zero
+    w(., ., z) = W_0 + 2 Re sum_{p>0} W_p e^(2 pi i p z / eps), where W_p is
+    the horizontal synthesis of plane p.  Per nonzero component the x pass
+    runs once, on the M2 occupied y columns only, into an (n3 + 1, gx, M2)
+    array.  Each block of columns then runs the y pass on the x rows it
+    spans, embedded in one small reused buffer: every y line is the same
+    transform as in a two-axis ifft2 over the whole slab, whose x pass would
+    only turn gy - M2 columns of exact zeros into exact zeros.  The z
+    synthesis of the block is one real matrix product of cos / -sin weights
+    with the stacked real and imaginary parts of W_p there, squared and
+    summed over the components in component order; every element is the
+    same dot product as in a product over all columns at once, so the
+    samples do not depend on the blocking.  Components that are identically
+    zero are skipped, and neither the grid nor a horizontal (n3 + 1, gx, gy)
+    slab is held.  A field with no nonzero component yields a single zero
     sample.  The yielded block is reused: consume it before the next.
     """
     gx, gy, gz = grid
-    n_pos = u.domain.n3 + 1
-    planes = [_xy_synthesis(comp, (gx, gy)) for comp in u.half if comp.any()]
-    if not planes:
+    n1, n2, n_pos = u.domain.n1, u.domain.n2, u.domain.n3 + 1
+    x_passes = []
+    for comp in u.half:
+        if comp.any():
+            columns = np.zeros((n_pos, gx, 2 * n2 + 1), dtype=np.complex128)
+            columns[:, np.arange(-n1, n1 + 1) % gx] = np.moveaxis(comp, -1, 0)
+            x_passes.append(
+                ifft2(columns, axes=(-2,), norm="forward", workers=1, overwrite_x=True)
+            )
+    if not x_passes:
         yield np.zeros((1, 1))
         return
     theta = 2.0 * np.pi * np.outer(np.arange(gz), np.arange(n_pos)) / gz
     weight = np.where(np.arange(n_pos) == 0, 1.0, 2.0)
     synth = np.hstack([weight * np.cos(theta), -weight * np.sin(theta)])
     points = gx * gy
+    spans = [(start, min(start + _BLOCK, points)) for start in range(0, points, _BLOCK)]
+    y_bins = np.arange(-n2, n2 + 1) % gy
+    # the y pass of the x rows r0 .. r1 - 1 that columns start .. stop - 1 span
+    rows = np.empty((n_pos, max(-(-stop // gy) - start // gy for start, stop in spans), gy),
+                    dtype=np.complex128)
     stack = None
-    for start in range(0, points, _BLOCK):
-        cols = slice(start, min(start + _BLOCK, points))
-        width = cols.stop - start
+    for start, stop in spans:
+        width = stop - start
         if stack is None or stack.shape[1] != width:  # the first, or the partial last block
             stack = np.empty((2 * n_pos, width))
             mag2 = np.empty((gz, width))
             w = np.empty_like(mag2)
-        for i, plane in enumerate(planes):
-            np.copyto(stack[:n_pos], plane.real[:, cols])
-            np.copyto(stack[n_pos:], plane.imag[:, cols])
+        r0, r1 = start // gy, -(-stop // gy)
+        for i, x_pass in enumerate(x_passes):
+            buf = rows[:, : r1 - r0]
+            buf.fill(0.0)
+            buf[:, :, y_bins] = x_pass[:, r0:r1]
+            buf = ifft2(buf, axes=(-1,), norm="forward", workers=1, overwrite_x=True)
+            plane = buf.reshape(n_pos, -1)[:, start - r0 * gy : stop - r0 * gy]
+            np.copyto(stack[:n_pos], plane.real)
+            np.copyto(stack[n_pos:], plane.imag)
             out = np.matmul(synth, stack, out=mag2 if i == 0 else w)
             out *= out
             if i:
@@ -330,15 +332,14 @@ def _thin_profile(spec: DomainSpec, exponent: float) -> SpectralField:
 
     For the sup inequality the exponent 4 profile attains the Cauchy-Schwarz
     bound exactly on the retained box (all coefficients positive, so the sup
-    sits at the origin and equals the coefficient sum).
+    sits at the origin and equals the coefficient sum).  Built on the p >= 0
+    half box: |k|^2 is exactly even in k, so the profile is its own
+    conjugate mirror.
     """
-    ksq = np.asarray(ksq_grid(spec)).copy()
-    ksq[spec.n1, spec.n2, spec.n3] = 1.0
-    prof = ksq ** (-exponent / 2.0)
-    prof[:, :, spec.n3] = 0.0
-    raw = np.zeros((3,) + spec.shape, dtype=np.complex128)
-    raw[0] = prof
-    return SpectralField(spec, raw)
+    ksq = np.ascontiguousarray(ksq_grid(spec)[..., spec.n3 + 1 :])
+    half = np.zeros(_half_shape(spec), dtype=np.complex128)
+    half[0, :, :, 1:] = ksq ** (-exponent / 2.0)
+    return SpectralField._wrap(spec, half)
 
 
 def single_mode_floor_planar_l4(l1: float = 1.0, l2: float = 1.0) -> float:
@@ -509,8 +510,9 @@ def estimate_constant(
     trial_budget = budget if not refine else max(budget // 2, 1)
     refine_budget = budget - trial_budget if refine else 0
 
-    # fixed: the deterministic (kind, trial) list; families: (kind, envelope)
-    # per random family, or a list of them from which a second draw picks one;
+    # fixed: the deterministic (kind, trial) list; random_families(): a
+    # (kind, envelope) per random family, or a list of them from which a second
+    # draw picks one, built only for an open bracket (it draws nothing);
     # random_trial: the trial of one envelope
     if inequality == "planar-l4":
         n1, n2 = domain.n1, domain.n2
@@ -525,22 +527,22 @@ def estimate_constant(
             (f"profile-{s}", make((kmag_safe**-s) * (kmag >= 1.0)))
             for s in (1.0, 1.25, 1.5, 1.75, 2.0)
         ]
-        n_blocks = max(1, int(np.log2(max(np.max(kmag), 2.0))))
-        blocks = [
-            (f"block-{m}", ((kmag >= 2.0**m) & (kmag < 2.0 ** (m + 1))).astype(float))
-            for m in range(n_blocks)
-        ]
-        families = [
-            ("white", 1.0),
-            ("powerlaw-1", kmag_safe**-1.0),
-            ("powerlaw-1.5", kmag_safe**-1.5),
-            blocks,
-        ]
+
+        def random_families() -> list:
+            n_blocks = max(1, int(np.log2(max(np.max(kmag), 2.0))))
+            blocks = [
+                (f"block-{m}", ((kmag >= 2.0**m) & (kmag < 2.0 ** (m + 1))).astype(float))
+                for m in range(n_blocks)
+            ]
+            return [
+                ("white", 1.0),
+                ("powerlaw-1", kmag_safe**-1.0),
+                ("powerlaw-1.5", kmag_safe**-1.5),
+                blocks,
+            ]
+
         random_trial = lambda env: make(_symmetrize(_draw(rng, kmag.shape, env), 2))
     else:
-        ksq = np.asarray(ksq_grid(domain))
-        kmin2 = min_nonzero_k(domain) ** 2
-        ksq_safe = np.where(ksq == 0, kmin2, ksq)
         q_constrained = inequality != "poincare"
         if q_constrained:
             # deterministic near-extremal profiles on the range of Q
@@ -551,11 +553,16 @@ def estimate_constant(
             lowest = np.zeros((3,) + domain.shape, dtype=np.complex128)
             lowest[0, domain.n1 + 1, domain.n2, domain.n3] = 0.5
             fixed = [("lowest-mode", SpectralField(domain, _symmetrize(lowest, 3)))]
-        families = [
-            ("random-0", 1.0),
-            ("random-1", (ksq_safe / kmin2) ** -0.5),
-            ("random-2", (ksq_safe / kmin2) ** -1.0),
-        ]
+
+        def random_families() -> list:
+            ksq = np.asarray(ksq_grid(domain))
+            kmin2 = min_nonzero_k(domain) ** 2
+            ksq_safe = np.where(ksq == 0, kmin2, ksq)
+            return [
+                ("random-0", 1.0),
+                ("random-1", (ksq_safe / kmin2) ** -0.5),
+                ("random-2", (ksq_safe / kmin2) ** -1.0),
+            ]
 
         def random_trial(env) -> SpectralField:
             # one nonzero component, symmetrized alone; _wrap pins its zero mode
@@ -585,18 +592,19 @@ def estimate_constant(
         consider(trial, kind)
     upper = _upper_bound(inequality, domain, params)
     closed = upper is not None and best_ratio >= upper * (1.0 - _BRACKET_RTOL)
-    while trials < trial_budget and not closed:
-        family = families[int(rng.integers(0, len(families)))]
-        if isinstance(family, list):
-            family = family[int(rng.integers(0, len(family)))]
-        kind, env = family
-        consider(random_trial(env), kind)
-
-    if refine and refine_budget > 0 and not closed:
-        refined, refined_ratio = _refine_coordinates(best, ratio_fn, refine_budget)
-        if refined_ratio > best_ratio:
-            best, best_ratio = refined, refined_ratio
-            best_kind += "+ascent"
+    if not closed:
+        families = random_families()
+        while trials < trial_budget:
+            family = families[int(rng.integers(0, len(families)))]
+            if isinstance(family, list):
+                family = family[int(rng.integers(0, len(family)))]
+            kind, env = family
+            consider(random_trial(env), kind)
+        if refine and refine_budget > 0:
+            refined, refined_ratio = _refine_coordinates(best, ratio_fn, refine_budget)
+            if refined_ratio > best_ratio:
+                best, best_ratio = refined, refined_ratio
+                best_kind += "+ascent"
 
     res = (domain.n1, domain.n2) if inequality == "planar-l4" else (domain.n1, domain.n2, domain.n3)
     return ConstantEstimate(

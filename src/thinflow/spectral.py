@@ -582,16 +582,25 @@ def random_field(
 
     slope = 0 gives a white spectrum; slope = -2 damps amplitudes like
     |k|^-2 relative to the smallest nonzero frequency.  Not divergence-free;
-    compose with leray for velocity-like samples.
+    compose with leray for velocity-like samples.  The draws cover the full
+    mode box (real parts first); only the p >= 0 half of their symmetrization
+    is formed.
     """
     shape = (3,) + domain.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw = np.empty(shape, dtype=np.complex128)
+    raw.real = rng.standard_normal(shape)
+    raw.imag = rng.standard_normal(shape)
+    # the p >= 0 half of _symmetrize(raw * envelope, 3); the envelope is even in k
+    upper = raw[..., domain.n3 :]
+    lower = np.flip(raw[..., : domain.n3 + 1], axis=(-3, -2, -1))
     if slope != 0.0:
-        ksq = ksq_grid(domain).copy()
+        ksq = ksq_grid(domain)[..., domain.n3 :].copy()
         kmin2 = min_nonzero_k(domain) ** 2
-        ksq[domain.n1, domain.n2, domain.n3] = kmin2
-        raw *= (ksq / kmin2) ** (slope / 2.0)
-    return SpectralField(domain, _symmetrize(raw, 3))
+        ksq[domain.n1, domain.n2, 0] = kmin2
+        envelope = (ksq / kmin2) ** (slope / 2.0)
+        upper = upper * envelope
+        lower = lower * envelope
+    return SpectralField._wrap(domain, 0.5 * (upper + np.conj(lower)))
 
 
 def save_checkpoint(
@@ -606,7 +615,8 @@ def save_checkpoint(
     Layout: a single ASCII line of JSON (domain spec, mode counts, simulation
     time stamp, format version) terminated by a newline, followed by the
     coefficients as little-endian complex128 in C order with index layout
-    [component, m + n1, n + n2, p + n3].
+    [component, m + n1, n + n2, p + n3].  The full mode box is mirrored from
+    the half box and written one component at a time, so it is never held.
     """
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -616,10 +626,10 @@ def save_checkpoint(
     }
     if extra:
         header["extra"] = extra
-    payload = np.ascontiguousarray(f.coeffs).astype("<c16")
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(payload.tobytes())
+        for j in range(3):
+            fh.write(_mirror(f.half[j : j + 1]).astype("<c16", copy=False))
 
 
 def load_checkpoint(path) -> tuple[SpectralField, dict]:
@@ -640,5 +650,5 @@ def load_checkpoint(path) -> tuple[SpectralField, dict]:
             f"{path}: checkpoint payload is {len(payload)} bytes, "
             f"the header implies {expected}"
         )
-    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128, copy=False)
     return SpectralField(domain, data.reshape((3,) + domain.shape)), header

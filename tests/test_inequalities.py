@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
+from scipy.fft import ifft2, next_fast_len
 
 from thinflow import inequalities as iq
 from thinflow import spectral as sp
@@ -55,6 +55,37 @@ def _dense_samples(f, grid):
         full[idx] = f.coeffs[c]
         out[c] = (np.fft.ifftn(full) * np.prod(grid)).real
     return out
+
+
+def _slab_reference_blocks(u, grid):
+    """The blocked |u|^2 reduction written over whole slabs: each nonzero
+    component's p >= 0 planes on the (gx, gy) grid by one two-axis ifft2, then
+    the cos / -sin z matmul on each (gz, <= _BLOCK) block of columns."""
+    gx, gy, gz = grid
+    d = u.domain
+    n_pos = d.n3 + 1
+    index = (slice(None),) + np.ix_(
+        np.arange(-d.n1, d.n1 + 1) % gx, np.arange(-d.n2, d.n2 + 1) % gy
+    )
+    planes = []
+    for comp in u.half:
+        if comp.any():
+            slab = np.zeros((n_pos, gx, gy), dtype=complex)
+            slab[index] = np.moveaxis(comp, -1, 0)
+            planes.append(ifft2(slab, norm="forward").reshape(n_pos, gx * gy))
+    if not planes:
+        yield np.zeros((1, 1))
+        return
+    theta = 2.0 * np.pi * np.outer(np.arange(gz), np.arange(n_pos)) / gz
+    weight = np.where(np.arange(n_pos) == 0, 1.0, 2.0)
+    synth = np.hstack([weight * np.cos(theta), -weight * np.sin(theta)])
+    for start in range(0, gx * gy, iq._BLOCK):
+        cols = slice(start, min(start + iq._BLOCK, gx * gy))
+        mag2 = None
+        for plane in planes:
+            sq = np.square(synth @ np.vstack([plane.real[:, cols], plane.imag[:, cols]]))
+            mag2 = sq if mag2 is None else mag2 + sq
+        yield mag2
 
 
 class TestField2D:
@@ -268,6 +299,55 @@ class TestEstimators:
         finally:
             tracemalloc.stop()
         assert peak < gz * gx * gy * 8
+
+
+    def test_sup_norm_never_holds_a_horizontal_slab(self):
+        """One sup_norm of a one-component field at (64,64,2) peaks below two
+        (n3 + 1, gx, M2) x-pass arrays: the y pass runs block by block, so the
+        (n3 + 1, gx, gy) slab (13.2 MB here) is never held."""
+        d = sp.DomainSpec(l1=4.0, l2=4.0, eps=1 / 64, nu=1.0, n1=64, n2=64, n3=2)
+        half = np.zeros(sp._half_shape(d), dtype=complex)
+        half[0] = sp.random_field(d, np.random.default_rng(1)).half[0]
+        f = sp.SpectralField._wrap(d, half)
+        gx, gy, _ = iq._oversampled_grid(d, 4)
+        tracemalloc.start()
+        try:
+            iq.sup_norm(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (d.n3 + 1) * gx * (2 * d.n2 + 1) * 16
+
+    @pytest.mark.parametrize("components", _COMPONENTS, ids=_COMPONENT_IDS)
+    @pytest.mark.parametrize("box", _NORM_BOXES, ids=_NORM_BOX_IDS)
+    def test_grid_norms_equal_the_slab_reference(self, rng, box, components):
+        """sup_norm and lp_norm equal, bit for bit, the same reductions over
+        one-shot two-axis slab syntheses blocked the same way."""
+        f, oversample = _norm_field(rng, box, components)
+        d = f.domain
+        sup_grid = iq._oversampled_grid(d, oversample)
+        ref = np.sqrt(max(np.max(b) for b in _slab_reference_blocks(f, sup_grid)))
+        assert np.array_equal(iq.sup_norm(f, oversample), ref)
+        quartic_grid = (next_fast_len(4 * d.n1 + 2), next_fast_len(4 * d.n2 + 2), 4 * d.n3 + 2)
+        for p, grid in ((4.0, quartic_grid), (3.0, sup_grid)):
+            total = 0.0
+            for block in _slab_reference_blocks(f, grid):
+                total += float(np.sum(np.power(block, p / 2.0)))
+            ref = (d.volume * (total / np.prod(grid))) ** (1.0 / p)
+            assert np.array_equal(iq.lp_norm(f, p, oversample), ref)
+
+    @pytest.mark.parametrize("inequality", ["thin-sup", "poincare"])
+    def test_closed_bracket_builds_no_random_family(self, thin_box, inequality, monkeypatch):
+        """The random-family envelopes are built only while the bracket is open."""
+
+        def no_envelopes(domain):
+            raise AssertionError("random-family envelopes built")
+
+        monkeypatch.setattr(iq, "min_nonzero_k", no_envelopes)
+        est = iq.estimate_constant(inequality, thin_box, budget=20, seed=2)
+        assert est.trial_count == 1
+        with pytest.raises(AssertionError, match="envelopes"):
+            iq.estimate_constant("thin-l4", thin_box, budget=4, seed=2)
 
 
 class TestScalingFit:

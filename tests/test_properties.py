@@ -264,6 +264,42 @@ def test_checkpoint_round_trip_is_bitwise(domain, seed, time, step):
 
 
 @drawn
+@given(domain=domains(max_n=8), seed=seeds, slope=st.sampled_from([0.0, -1.0, -1.5, -2.0]))
+def test_random_field_equals_the_full_box_construction(domain, seed, slope):
+    """random_field builds the p >= 0 half alone; it equals, bit for bit, the
+    checked construction of the symmetrized full-box draw, and it leaves the
+    generator where the full-box draw does."""
+    rng = np.random.default_rng(seed)
+    shape = (3,) + domain.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if slope != 0.0:
+        ksq = sp.ksq_grid(domain).copy()
+        kmin2 = sp.min_nonzero_k(domain) ** 2
+        ksq[domain.n1, domain.n2, domain.n3] = kmin2
+        raw *= (ksq / kmin2) ** (slope / 2.0)
+    ref = sp.SpectralField(domain, sp._symmetrize(raw, 3))
+    got_rng = np.random.default_rng(seed)
+    got = sp.random_field(domain, got_rng, slope=slope)
+    assert got.half.tobytes() == ref.half.tobytes()
+    assert got_rng.standard_normal() == rng.standard_normal()
+
+
+@drawn
+@given(domain=domains(max_n=8), exponent=st.sampled_from([2.5, 3.0, 3.5, 4.0]))
+def test_thin_profile_equals_the_full_box_construction(domain, exponent):
+    """_thin_profile builds the p >= 0 half alone; it equals, bit for bit, the
+    checked construction of the full-box profile."""
+    ksq = np.asarray(sp.ksq_grid(domain)).copy()
+    ksq[domain.n1, domain.n2, domain.n3] = 1.0
+    prof = ksq ** (-exponent / 2.0)
+    prof[:, :, domain.n3] = 0.0
+    raw = np.zeros((3,) + domain.shape, dtype=np.complex128)
+    raw[0] = prof
+    ref = sp.SpectralField(domain, raw)
+    assert iq._thin_profile(domain, exponent).half.tobytes() == ref.half.tobytes()
+
+
+@drawn
 @given(domain=domains(), seed=seeds)
 def test_projection_identities(domain, seed):
     """P + Q = R + S = I, each is idempotent, PQ = RS = 0, and P commutes with R."""

@@ -6,6 +6,7 @@ multiplier, per-mode orthogonality for the projections.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,22 @@ class TestCheckpoint:
                 flat = ((j * 3 + 1 + sign * m) * 3 + 1 + sign * n) * 3 + 1 + sign * p
                 payload[16 * flat : 16 * flat + 16] = struct.pack("<dd", w.real, w.imag)
         assert path.read_bytes() == header + bytes(payload)
+
+    def test_write_never_holds_the_full_box(self, rng, tmp_path):
+        """save_checkpoint of a (32,32,8) field peaks below one full mode box:
+        the payload is mirrored and written one component at a time."""
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=32, n2=32, n3=8)
+        f = sp.random_field(d, rng)
+        path = tmp_path / "field.ckpt"
+        tracemalloc.start()
+        try:
+            sp.save_checkpoint(f, path, time=1.0, step=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * np.prod(d.shape) * 16
+        back, _ = sp.load_checkpoint(path)
+        assert back.half.tobytes() == f.half.tobytes()
 
     def test_rejects_non_finite_payload(self, small_domain, rng, tmp_path):
         path = tmp_path / "field.ckpt"
