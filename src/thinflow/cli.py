@@ -15,7 +15,9 @@ environment variable, falling back to ./thinflow-out.
 
 Exit codes: 0 success, 2 invalid configuration or input (line-anchored
 message), 3 simulation blow-up (forensic dump written to blowup.json),
-4 numerical failure (a constant-fit LP or the envelope ODE did not converge).
+4 numerical failure (a constant-fit LP or the envelope ODE did not converge),
+5 a simulate checkpoint could not be written (the run's other artifacts are
+kept).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_NUMERICAL = 4
+EXIT_IO = 5
 
 
 class ConfigError(Exception):
@@ -200,17 +203,15 @@ def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
         "blowup": result.blowup,
     })
     artifacts = ["diagnostics.csv", "run_meta.json"]
-    if result.final_state is not None:
-        sp.save_checkpoint(
-            result.final_state.u, os.path.join(out, "run_final.ckpt"),
-            time=result.final_state.t, step=result.final_state.step,
-        )
-        artifacts.append("run_final.ckpt")
     artifacts += [os.path.basename(p) for p in result.checkpoints]
+    if result.io_error is not None:
+        print(f"error: {result.io_error}", file=sys.stderr)
     if result.blew_up:
         write_json(os.path.join(out, "blowup.json"), result.blowup)
         print(f"blow-up at t={result.blowup['time']:.6g}; forensic dump in {out}/blowup.json")
         return EXIT_BLOWUP, artifacts + ["blowup.json"]
+    if result.io_error is not None:
+        return EXIT_IO, artifacts
     print(f"simulate: {len(result.series)} samples -> {out}")
     return EXIT_OK, artifacts
 

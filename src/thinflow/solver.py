@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,9 +128,14 @@ class ForcingSpec:
             raise ValueError("sinusoidal forcing needs omega > 0")
         return cls(leray(profile), amplitude, omega, phase)
 
+    @cached_property
+    def profile_l2(self) -> float:
+        """||profile||_2, computed once."""
+        return norm_l2(self.profile)
+
     @property
     def f_bound(self) -> float:
-        return norm_l2(self.profile) * abs(self.amplitude)
+        return self.profile_l2 * abs(self.amplitude)
 
     def amplitude_at(self, t: float) -> float:
         if self.omega == 0.0:
@@ -141,7 +146,7 @@ class ForcingSpec:
         return self.profile * self.amplitude_at(t)
 
     def l2_at(self, t: float) -> float:
-        return norm_l2(self.profile) * abs(self.amplitude_at(t))
+        return self.profile_l2 * abs(self.amplitude_at(t))
 
     def _raw(self, t: float) -> np.ndarray | None:
         """The p >= 0 half box of value(t), or None when it is zero."""
@@ -430,7 +435,13 @@ def run(
     """Integrate to t_end, sampling diagnostics every diag_stride steps.
 
     Returns partial diagnostics plus a forensic report if the run blows up.
-    Checkpoints are written under out_dir when checkpoint_stride > 0.
+    run is the one writer of a run's checkpoints, each state once.  When
+    out_dir is given it writes {run_id}_step{N:08d}.ckpt at each sampled step
+    N before the last that is a multiple of checkpoint_stride (> 0), and the
+    final state as {run_id}_final.ckpt, the last entry of checkpoints, at any
+    stride.  A run that blows up keeps its stride files and writes no final
+    file.  The first failed write is reported in io_error and ends the
+    writing; the run goes on.
     """
     defect = divergence_defect(u0)
     if defect > _DIV_CONTRACT_TOL:
@@ -452,18 +463,21 @@ def run(
     def f_l2(t: float) -> float:
         return forcing.l2_at(t) if forcing is not None else 0.0
 
-    def maybe_checkpoint(state: RunState, force: bool = False) -> None:
+    def checkpoint(state: RunState, name: str) -> None:
         # disk failures are surfaced in the result, never abort the run
-        if out_dir is None or cfg.checkpoint_stride <= 0 or io_errors:
+        if out_dir is None or io_errors:
             return
-        if force or state.step % cfg.checkpoint_stride == 0:
-            path = os.path.join(out_dir, f"{run_id}_step{state.step:08d}.ckpt")
-            try:
-                save_checkpoint(state.u, path, time=state.t, step=state.step)
-            except OSError as exc:
-                io_errors.append(f"checkpoint write failed at step {state.step}: {exc}")
-                return
-            checkpoints.append(path)
+        path = os.path.join(out_dir, f"{run_id}_{name}.ckpt")
+        try:
+            save_checkpoint(state.u, path, time=state.t, step=state.step)
+        except OSError as exc:
+            io_errors.append(f"checkpoint write failed at step {state.step}: {exc}")
+            return
+        checkpoints.append(path)
+
+    def maybe_checkpoint(state: RunState) -> None:
+        if cfg.checkpoint_stride > 0 and state.step % cfg.checkpoint_stride == 0:
+            checkpoint(state, f"step{state.step:08d}")
 
     state = RunState(u=u0, t=0.0, step=0)
     builder.append(state.t, state.u, f_l2(state.t))
@@ -478,10 +492,13 @@ def run(
                 state = step(state, forcing, replace(cfg, dt=dt_i))
             if state.step % cfg.diag_stride == 0 or i == n_steps - 1:
                 builder.append(state.t, state.u, f_l2(state.t))
-                maybe_checkpoint(state, force=(i == n_steps - 1))
+                if i < n_steps - 1:
+                    maybe_checkpoint(state)
     except BlowUpError as exc:
         blowup = exc.report
         state = None
+    else:
+        checkpoint(state, "final")
     return RunResult(
         series=builder.finish(),
         final_state=state,

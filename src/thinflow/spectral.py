@@ -17,12 +17,12 @@ checkpoints and tests only.
 Coefficients from outside (a SpectralField or planar Field2D built from a
 user array or a checkpoint) pass one checked construction, because silent
 drift would make fields complex: one symmetrizer, (c + conj(flip c)) / 2 over
-the mode axes, then a finiteness and defect check.  Everything else works on
-the half box and needs no such repair.  Synthesis embeds its n3 + 1 planes in
-a zeroed c2r input of the z grid's full size, transforms them over (x, y) in
-place and finishes with a c2r along z; analysis runs an r2c along z, keeps
-n3 + 1 planes, transforms only those over (x, y) and symmetrizes the p = 0
-plane.  Diagonal operators have even (or, times i, odd) multipliers and keep
+the mode axes, with a finiteness and defect check, one component at a time.
+Everything else works on the half box and needs no such repair.  Synthesis
+embeds its n3 + 1 planes in a zeroed c2r input of the z grid's full size,
+transforms them over (x, y) in place and finishes with a c2r along z;
+analysis runs an r2c along z, keeps n3 + 1 planes, transforms only those over
+(x, y) and symmetrizes the p = 0 plane.  Diagonal operators have even (or, times i, odd) multipliers and keep
 the p = 0 plane exactly Hermitian.  Reductions read the half box, each p > 0
 plane standing for itself and its mirror.  The (0,0,0) mode is structurally
 pinned to zero: all fields live in the mean-free reduction.
@@ -177,25 +177,37 @@ def _symmetrize(raw: np.ndarray, nd: int) -> np.ndarray:
     return 0.5 * (raw + np.conj(np.flip(raw, axis=tuple(range(-nd, 0)))))
 
 
-def _checked_hermitian(coeffs, shape: tuple[int, ...], nd: int) -> np.ndarray:
+def _checked_hermitian(coeffs, shape: tuple[int, ...], nd: int, lo: int = 0) -> np.ndarray:
     """Read-only symmetrization, zero mode pinned, of finite outside input of the given shape,
-    which must be Hermitian over its last nd axes to a relative defect of _HERMITIAN_TOL."""
+    which must be Hermitian over its last nd axes to a relative defect of _HERMITIAN_TOL.
+
+    Returns the last axis from index lo on (lo = n3 keeps a field's p >= 0 half).
+    The leading axes are worked one component at a time, so beside the input
+    and the result only one component's temporaries are held; the defect and
+    its scale are still maxima over all components.
+    """
     arr = np.asarray(coeffs, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"coefficient shape {arr.shape} does not match {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must be finite (no NaN or inf)")
-    sym = _symmetrize(arr, nd)
-    scale = float(np.max(np.abs(sym))) if sym.size else 0.0
-    defect = float(np.max(np.abs(arr - sym)))
+    mode_shape = shape[-nd:]
+    out = np.empty(shape[:-1] + (shape[-1] - lo,), dtype=np.complex128)
+    zero_mode = tuple(m // 2 for m in mode_shape)
+    scale = defect = 0.0
+    for comp, kept in zip(arr.reshape((-1,) + mode_shape), out.reshape((-1,) + out.shape[-nd:])):
+        if not np.all(np.isfinite(comp)):
+            raise ValueError("coefficients must be finite (no NaN or inf)")
+        sym = _symmetrize(comp, nd)
+        scale = max(scale, float(np.max(np.abs(sym))))
+        defect = max(defect, float(np.max(np.abs(comp - sym))))
+        sym[zero_mode] = 0.0
+        kept[...] = sym[..., lo:]
     if defect > _HERMITIAN_TOL * max(scale, 1e-300):
         raise ValueError(
             f"coefficients are not Hermitian (relative defect {defect / max(scale, 1e-300):.3e}); "
             "symmetrize explicitly before constructing a field"
         )
-    sym[(Ellipsis,) + tuple(m // 2 for m in shape[-nd:])] = 0.0
-    sym.flags.writeable = False
-    return sym
+    out.flags.writeable = False
+    return out
 
 
 def _half_shape(spec: DomainSpec) -> tuple[int, int, int, int]:
@@ -218,9 +230,7 @@ class SpectralField:
     __slots__ = ("domain", "half")
 
     def __init__(self, domain: DomainSpec, coeffs: np.ndarray):
-        sym = _checked_hermitian(coeffs, (3,) + domain.shape, 3)
-        half = np.ascontiguousarray(sym[..., domain.n3 :])
-        half.flags.writeable = False
+        half = _checked_hermitian(coeffs, (3,) + domain.shape, 3, lo=domain.n3)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "half", half)
 
@@ -633,7 +643,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[SpectralField, dict]:
-    """Read a checkpoint written by save_checkpoint; returns (field, header)."""
+    """Read a checkpoint written by save_checkpoint; returns (field, header).
+
+    The payload passes the checked construction, which keeps only its half
+    box and works one component at a time.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         header = json.loads(header_line.decode("ascii"))

@@ -141,8 +141,36 @@ class TestSimulate:
         assert rc == cli.EXIT_BLOWUP
         dump = json.loads((out / "blowup.json").read_text())
         assert dump["max_coeff"] > 1e12 or dump["n_nonfinite"] > 0
-        # partial diagnostics are preserved
+        # partial diagnostics are preserved; there is no final state to write
         assert (out / "diagnostics.csv").exists()
+        assert not (out / "run_final.ckpt").exists()
+
+    def test_checkpoint_write_failure_exit_code(self, planar_cfg, tmp_path, monkeypatch, capsys):
+        """A failed checkpoint write is reported on stderr with its own exit code;
+        the diagnostics, run_meta.json and the manifest are still written."""
+        save = cli.sv.save_checkpoint
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            save(*args, **kwargs)
+
+        monkeypatch.setattr(cli.sv, "save_checkpoint", failing_second)
+        out = tmp_path / "run"
+        rc = run_cli([
+            "simulate", "-c", planar_cfg, "--out", str(out), "--set", "checkpoint_stride=20",
+        ])
+        assert rc == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "checkpoint write failed at step 20" in err
+        assert "No space left on device" in err
+        for name in ("diagnostics.csv", "run_meta.json", "manifest.json", "run_step00000000.ckpt"):
+            assert (out / name).exists()
+        assert sorted(p.name for p in out.glob("*.ckpt")) == ["run_step00000000.ckpt"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["diagnostics.csv", "run_meta.json", "run_step00000000.ckpt"]
 
     def test_env_var_output_root(self, planar_cfg, tmp_path, monkeypatch):
         monkeypatch.setenv("THINFLOW_OUT_ROOT", str(tmp_path / "root"))

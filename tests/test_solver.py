@@ -1,6 +1,7 @@
 """Tests for time integration: exact decay, order, conservation, layout."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -174,15 +175,33 @@ class TestRunInvariants:
         assert res.final_state is not None
         assert len(res.series) > 1  # the run itself completed
 
-    def test_checkpoints_written(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n_steps,stride", [(24, 12), (10, 4), (10, 0)], ids=["divides", "leaves-rest", "final-only"]
+    )
+    def test_checkpoints_written(self, tmp_path, n_steps, stride):
+        """Each state is written once: the stride multiples before the last step,
+        then the final state as run_final.ckpt, whatever the stride."""
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=4, n2=4, n3=1)
         u0 = single_mode_field(d)
-        cfg = sv.SolverConfig(dt=1e-3, t_end=0.01, scheme="etd-rk2", checkpoint_stride=5)
+        cfg = sv.SolverConfig(
+            dt=1e-3, t_end=n_steps * 1e-3, scheme="etd-rk2", checkpoint_stride=stride
+        )
         res = sv.run(u0, None, cfg, out_dir=str(tmp_path))
-        assert len(res.checkpoints) >= 2
-        field, header = sp.load_checkpoint(res.checkpoints[-1])
-        assert header["step"] == 10
-        np.testing.assert_allclose(field.coeffs, res.final_state.u.coeffs, atol=0)
+        assert res.io_error is None
+        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == sorted(
+            os.path.basename(p) for p in res.checkpoints
+        )
+        strided = range(0, n_steps, stride) if stride else []
+        steps = [sp.load_checkpoint(p)[1]["step"] for p in res.checkpoints]
+        assert steps == [*strided, n_steps]
+        assert [os.path.basename(p) for p in res.checkpoints] == [
+            *(f"run_step{n:08d}.ckpt" for n in strided), "run_final.ckpt"
+        ]
+        final = res.final_state
+        fresh = tmp_path / "fresh.bin"
+        sp.save_checkpoint(final.u, fresh, time=final.t, step=final.step)
+        assert final.step == n_steps
+        assert (tmp_path / "run_final.ckpt").read_bytes() == fresh.read_bytes()
 
 
 class TestGuards:

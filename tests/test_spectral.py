@@ -422,6 +422,42 @@ class TestCheckpoint:
         back, _ = sp.load_checkpoint(path)
         assert back.half.tobytes() == f.half.tobytes()
 
+    def test_load_holds_at_most_two_and_a_half_boxes(self, rng, tmp_path):
+        """load_checkpoint of a (32,32,8) field peaks at 2.5 full mode boxes at most
+        (the payload, the half box and one component's temporaries; 3.5 boxes when
+        all three components were symmetrized at once)."""
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=32, n2=32, n3=8)
+        f = sp.random_field(d, rng, slope=-2.0)
+        path = tmp_path / "field.ckpt"
+        sp.save_checkpoint(f, path, time=1.0, step=3)
+        tracemalloc.start()
+        try:
+            back, _ = sp.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 3 * np.prod(d.shape) * 16
+        assert back.half.tobytes() == f.half.tobytes()
+
+    def test_defect_is_scaled_over_all_components(self, small_domain, rng):
+        """The checked construction measures the Hermitian defect and its scale over
+        the whole box, as a one-shot symmetrization does, though it works one
+        component at a time: a small component may carry a defect that is large
+        against itself but small against the field.  The half is the one-shot
+        construction's, bit for bit."""
+        shape = (3,) + small_domain.shape
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = sp._symmetrize(raw, 3)
+        c[0] *= 1e-6
+        c[0] += 1e-9 * rng.standard_normal(shape[1:])
+        ref = sp._symmetrize(c, 3)
+        ref[:, small_domain.n1, small_domain.n2, small_domain.n3] = 0.0
+        half = sp.SpectralField(small_domain, c).half
+        assert half.tobytes() == np.ascontiguousarray(ref[..., small_domain.n3 :]).tobytes()
+        c[0] += 1e-3 * rng.standard_normal(shape[1:])
+        with pytest.raises(ValueError, match="Hermitian"):
+            sp.SpectralField(small_domain, c)
+
     def test_rejects_non_finite_payload(self, small_domain, rng, tmp_path):
         path = tmp_path / "field.ckpt"
         sp.save_checkpoint(sp.random_field(small_domain, rng), path)
