@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import get_type_hints
 
 import numpy as np
@@ -264,7 +263,7 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
             domain, fit_reports, U=U, F=F, regime=env_regime
         )
         env = gw.solve_envelope(system, horizon=float(series.times[-1]), times=series.times)
-        containment = gw.check_trajectory(series, system)
+        containment = gw.check_trajectory(series, env)
         env.to_csv(os.path.join(out, "envelope.csv"))
         write_json(os.path.join(out, "containment.json"), {
             "containment": containment.to_dict(),
@@ -330,27 +329,20 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
     cap = _coerce(cfg, "cap", int, default=64)
     budget = _coerce(cfg, "budget", int, default=20)
     seed = _coerce(cfg, "seed", int, default=0)
-    parallelism = _coerce(cfg, "parallelism", int, default=1)
     refine = _coerce(cfg, "refine", bool, default=False)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(len(eps_values))]
 
-    def one(idx: int) -> iq.ConstantEstimate:
-        eps = eps_values[idx]
+    estimates = []
+    for eps, subdir, point_seed in zip(eps_values, subdirs, seeds):
         res = iq.thin_sweep_resolution(eps, l1=l1, cap=cap, n3=n3)
         domain = sp.DomainSpec(l1=l1, l2=l2, eps=eps, nu=1.0, n1=res[0], n2=res[1], n3=res[2])
         est = iq.estimate_constant(
-            inequality, domain, budget=budget, seed=seeds[idx], refine=refine
+            inequality, domain, budget=budget, seed=point_seed, refine=refine
         )
-        sub = os.path.join(out, subdirs[idx])
+        sub = os.path.join(out, subdir)
         os.makedirs(sub, exist_ok=True)
         _write_estimate(est, domain, sub)
-        return est
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            estimates = list(pool.map(one, range(len(eps_values))))
-    else:
-        estimates = [one(i) for i in range(len(eps_values))]
+        estimates.append(est)
 
     iq.write_sweep_csv(os.path.join(out, "sweep.csv"), eps_values, estimates)
     fit = iq.fit_eps_scaling(inequality, eps_values, estimates)

@@ -36,7 +36,7 @@ from .spectral import (
     norm_ds,
     norm_l2,
     _box_sum,
-    _synth,
+    _synth_half,
 )
 
 __all__ = [
@@ -208,7 +208,7 @@ def _planar_derivs(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> tu
     """Samples of the Laplacian and the x and y derivatives of a planar slab on a 2D grid."""
     k1, k2 = (2j * np.pi * k[..., 0] for k in kvec_grids(d)[:2])
     lap = -((2 * np.pi) ** 2) * ksq_grid(d)[..., d.n3]
-    return _synth(lap * slab, grid), _synth(k1 * slab, grid), _synth(k2 * slab, grid)
+    return tuple(_synth_half((m * slab)[..., d.n2 :], grid) for m in (lap, k1, k2))
 
 
 def check_enstrophy_miracle(r: SpectralField) -> float:
@@ -229,7 +229,7 @@ def check_enstrophy_miracle(r: SpectralField) -> float:
     slab = r.half[:2, ..., 0]
     ksq = ksq_grid(d)[..., d.n3]
     lap, rx, ry = _planar_derivs(slab, d, grid)
-    rp = _synth(slab, grid)
+    rp = _synth_half(slab[..., d.n2 :], grid)
     integrand = np.sum(lap * (rp[0] * rx + rp[1] * ry), axis=0)
     area = d.l1 * d.l2
     integral = area * float(np.mean(integrand))
@@ -259,7 +259,7 @@ def s_transport_residual(r: SpectralField, s: SpectralField) -> float:
     sslab = s.half[2, ..., 0]
     ksq = ksq_grid(d)[..., d.n3]
     lap_s, sx, sy = _planar_derivs(sslab, d, grid)
-    rp = _synth(rslab, grid)
+    rp = _synth_half(rslab[..., d.n2 :], grid)
     transport = rp[0] * sx + rp[1] * sy
     area = d.l1 * d.l2
     integral = area * float(np.mean(lap_s * transport))

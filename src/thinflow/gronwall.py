@@ -319,16 +319,20 @@ class ContainmentReport:
 
 def check_trajectory(
     series: DiagnosticSeries,
-    sys: InequalitySystem,
+    env: GronwallEnvelope,
     slack_rel: float = 1e-6,
 ) -> ContainmentReport:
-    """Verify a simulated trajectory never exceeds its comparison envelope.
+    """Verify a simulated trajectory never exceeds env, its system's envelope
+    solved on the series' own times (a ValueError otherwise).
 
     The series and the system must agree on U, F and eps (checked against
     the series' initial values and forcing column).  For the 'full' regime
     the guard shear_coupling sqrt(eps) (phi + psi) is traced against the
     shear_damping threshold and the first strict crossing is reported.
     """
+    sys = env.system
+    if not np.array_equal(env.times, series.times):
+        raise ValueError("the envelope must be solved on the series' sample times")
     phi, psi, _, _ = series.family(sys.regime)
     tol = 1.0 + 1e-9
     if phi[0] > sys.U * tol + 1e-12 or psi[0] > sys.U * tol + 1e-12:
@@ -339,7 +343,6 @@ def check_trajectory(
     if float(np.max(series.forcing, initial=0.0)) > sys.F * tol + 1e-12:
         raise ValueError("mismatched parameters: series forcing exceeds the declared F")
 
-    env = solve_envelope(sys, horizon=float(series.times[-1]), times=series.times)
     abs_slack = 1e-12 * max(sys.U**2, sys.F**2, 1.0)
     checks = [
         ("theta_sq", series.theta**2, env.theta_sq),

@@ -55,8 +55,9 @@ from .spectral import (
     _checked_hermitian,
     _box_sum,
     _half_shape,
+    _mirror,
     _symmetrize,
-    _synth,
+    _synth_half,
 )
 
 __all__ = [
@@ -92,45 +93,66 @@ def _planar_kmag(l1: float, l2: float, n1: int, n2: int) -> np.ndarray:
 
 
 class Field2D:
-    """Immutable mean-zero scalar field on the horizontal periodic box."""
+    """Immutable real mean-zero scalar field on the horizontal periodic box, stored as
+    the read-only half c[m + n1, n], n = 0 .. n2, of its mode slab, as a SpectralField
+    is; ``coeffs`` is the full slab, the half's conjugate mirror (a new read-only array).
+    Field2D(l1, l2, n1, n2, coeffs) takes a full slab through the checked construction."""
 
-    __slots__ = ("l1", "l2", "n1", "n2", "coeffs")
+    __slots__ = ("l1", "l2", "n1", "n2", "half")
 
     def __init__(self, l1: float, l2: float, n1: int, n2: int, coeffs: np.ndarray):
-        object.__setattr__(self, "l1", float(l1))
-        object.__setattr__(self, "l2", float(l2))
-        object.__setattr__(self, "n1", int(n1))
-        object.__setattr__(self, "n2", int(n2))
-        object.__setattr__(self, "coeffs", _checked_hermitian(coeffs, (2 * n1 + 1, 2 * n2 + 1), 2))
+        half = _checked_hermitian(coeffs, (2 * n1 + 1, 2 * n2 + 1), 2, lo=n2)
+        for name, value in zip(self.__slots__, (float(l1), float(l2), int(n1), int(n2), half)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _wrap(cls, l1: float, l2: float, n1: int, n2: int, half: np.ndarray) -> "Field2D":
+        """Unchecked fast path for the n >= 0 half of an exactly Hermitian slab (internal
+        use).  Takes ownership of a fresh array (a strided one is copied) and freezes it."""
+        out = object.__new__(cls)
+        arr = np.ascontiguousarray(half, dtype=np.complex128)
+        arr[n1, 0] = 0.0
+        arr.flags.writeable = False
+        for name, value in zip(cls.__slots__, (l1, l2, n1, n2, arr)):
+            object.__setattr__(out, name, value)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Field2D is immutable")
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full mode slab, mirrored from the half (a new read-only array)."""
+        return _mirror(self.half, 2)
 
     @property
     def area(self) -> float:
         return self.l1 * self.l2
 
     def norm_l2(self) -> float:
-        return float(np.sqrt(self.area * np.sum(np.abs(self.coeffs) ** 2)))
+        return float(np.sqrt(self.area * _box_sum(np.abs(self.half) ** 2, 2)))
 
     def norm_ds(self, alpha: float) -> float:
-        mult = (2.0 * np.pi * _planar_kmag(self.l1, self.l2, self.n1, self.n2)) ** alpha
-        mult[self.n1, self.n2] = 0.0
-        return float(np.sqrt(self.area * np.sum(mult**2 * np.abs(self.coeffs) ** 2)))
+        kmag = _planar_kmag(self.l1, self.l2, self.n1, self.n2)[:, self.n2 :]
+        mult = (2.0 * np.pi * kmag) ** alpha
+        mult[self.n1, 0] = 0.0
+        return float(np.sqrt(self.area * _box_sum(mult**2 * np.abs(self.half) ** 2, 2)))
 
     def norm_l4(self) -> float:
         """Exact quadrature of the quartic on a grid of at least 4n + 2 points per axis."""
         grid = (next_fast_len(4 * self.n1 + 2), next_fast_len(4 * self.n2 + 2))
-        quartic = _synth(self.coeffs, grid) ** 2
+        quartic = _synth_half(self.half, grid) ** 2
         quartic *= quartic
         return float((self.area * np.mean(quartic)) ** 0.25)
 
     def embed(self, eps: float, nu: float = 1.0) -> SpectralField:
         """3D single-component embedding with n3 = 1 (for checkpointing a maximizer)."""
         spec = DomainSpec(l1=self.l1, l2=self.l2, eps=eps, nu=nu, n1=self.n1, n2=self.n2, n3=1)
-        out = np.zeros((3,) + spec.shape, dtype=np.complex128)
-        out[0, :, :, 1] = self.coeffs
-        return SpectralField(spec, out)
+        half = np.zeros(_half_shape(spec), dtype=np.complex128)
+        half[0, :, :, 0] = self.coeffs
+        # the mirror writes conj(+0.0) as -0.0, where symmetrizing the full slab wrote +0.0
+        half[0, :, :, 0].imag += 0.0
+        return SpectralField._wrap(spec, half)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +220,8 @@ def _grid_mag2_blocks(u: SpectralField, grid: tuple[int, int, int]):
     the horizontal synthesis of plane p.  Per nonzero component the x pass
     runs once, on the M2 occupied y columns only, into an (n3 + 1, gx, M2)
     array.  Each block of columns then runs the y pass on the x rows it
-    spans, embedded in one small reused buffer: every y line is the same
+    spans, embedded in one small reused buffer; a row that a block boundary
+    splits keeps its y pass for the next block.  Every y line is the same
     transform as in a two-axis ifft2 over the whole slab, whose x pass would
     only turn gy - M2 columns of exact zeros into exact zeros.  The z
     synthesis of the block is one real matrix product of cos / -sin weights
@@ -232,6 +255,8 @@ def _grid_mag2_blocks(u: SpectralField, grid: tuple[int, int, int]):
     # the y pass of the x rows r0 .. r1 - 1 that columns start .. stop - 1 span
     rows = np.empty((n_pos, max(-(-stop // gy) - start // gy for start, stop in spans), gy),
                     dtype=np.complex128)
+    # each component's last y-passed row, reused by the next block when a boundary splits it
+    carried = np.empty((len(x_passes), n_pos, gy), dtype=np.complex128)
     stack = None
     for start, stop in spans:
         width = stop - start
@@ -240,11 +265,16 @@ def _grid_mag2_blocks(u: SpectralField, grid: tuple[int, int, int]):
             mag2 = np.empty((gz, width))
             w = np.empty_like(mag2)
         r0, r1 = start // gy, -(-stop // gy)
+        split = int(start % gy != 0)  # 1 when the previous block ended inside row r0
         for i, x_pass in enumerate(x_passes):
             buf = rows[:, : r1 - r0]
-            buf.fill(0.0)
-            buf[:, :, y_bins] = x_pass[:, r0:r1]
-            buf = ifft2(buf, axes=(-1,), norm="forward", workers=1, overwrite_x=True)
+            if split:
+                buf[:, 0] = carried[i]
+            new = buf[:, split:]
+            new.fill(0.0)
+            new[:, :, y_bins] = x_pass[:, r0 + split : r1]
+            new[...] = ifft2(new, axes=(-1,), norm="forward", workers=1, overwrite_x=True)
+            carried[i] = buf[:, -1]
             plane = buf.reshape(n_pos, -1)[:, start - r0 * gy : stop - r0 * gy]
             np.copyto(stack[:n_pos], plane.real)
             np.copyto(stack[n_pos:], plane.imag)
@@ -405,11 +435,12 @@ def _refine_coordinates(best, ratio_fn, budget: int):
     """
     if budget <= 0:
         return best, 0.0
+    # the incumbent (a mirror) and each candidate (a _symmetrize) are exactly Hermitian
     if isinstance(best, Field2D):
-        make = lambda c: Field2D(best.l1, best.l2, best.n1, best.n2, c)
+        make = lambda c: Field2D._wrap(best.l1, best.l2, best.n1, best.n2, c[..., best.n2 :])
         nd = 2
     else:
-        make = lambda c: SpectralField(best.domain, c)
+        make = lambda c: SpectralField._wrap(best.domain, c[..., best.domain.n3 :])
         nd = 3
     coeffs = best.coeffs.copy()
     flat = np.abs(coeffs).ravel()
@@ -518,7 +549,7 @@ def estimate_constant(
         n1, n2 = domain.n1, domain.n2
         kmag = _planar_kmag(domain.l1, domain.l2, n1, n2)
         kmag_safe = np.where(kmag == 0, 1.0, kmag)
-        make = lambda c: Field2D(domain.l1, domain.l2, n1, n2, c)
+        make = lambda c: Field2D._wrap(domain.l1, domain.l2, n1, n2, c[:, n2:])
         # the single-mode floor first: it is also the analytic regression target
         single = np.zeros(kmag.shape, dtype=np.complex128)
         single[n1 + 1, n2] = 0.5

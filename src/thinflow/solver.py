@@ -65,7 +65,6 @@ from .spectral import (
     _analyze_half,
     _leray_raw,
     _mirror,
-    _synth,
     _synth_half,
 )
 
@@ -268,8 +267,9 @@ def _nonlinear_raw(
     n1, n2, n3 = spec.n1, spec.n2, spec.n3
     k1, k2, k3 = kvec_grids(spec)
     if not coeffs[..., 1:].any():
-        # the p = 0 plane, shaped as a half box of one plane
-        uu = _mirror(_product_half(_synth(coeffs[..., 0], grid[:2]), (n1, n2)), 2)[..., None]
+        # synthesize the n >= 0 half of the p = 0 plane; uu is a half box of one plane
+        phys = _synth_half(coeffs[:, :, n2:, 0], grid[:2])
+        uu = _mirror(_product_half(phys, (n1, n2)), 2)[..., None]
         adv = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]]
     else:
         uu = _product_half(_synth_half(coeffs, grid), (n1, n2, n3))
@@ -436,8 +436,8 @@ def run(
 
     Returns partial diagnostics plus a forensic report if the run blows up.
     run is the one writer of a run's checkpoints, each state once.  When
-    out_dir is given it writes {run_id}_step{N:08d}.ckpt at each sampled step
-    N before the last that is a multiple of checkpoint_stride (> 0), and the
+    out_dir is given it writes {run_id}_step{N:08d}.ckpt at each step N
+    before the last that is a multiple of checkpoint_stride (> 0), and the
     final state as {run_id}_final.ckpt, the last entry of checkpoints, at any
     stride.  A run that blows up keeps its stride files and writes no final
     file.  The first failed write is reported in io_error and ends the
@@ -475,16 +475,14 @@ def run(
             return
         checkpoints.append(path)
 
-    def maybe_checkpoint(state: RunState) -> None:
-        if cfg.checkpoint_stride > 0 and state.step % cfg.checkpoint_stride == 0:
-            checkpoint(state, f"step{state.step:08d}")
-
     state = RunState(u=u0, t=0.0, step=0)
     builder.append(state.t, state.u, f_l2(state.t))
-    maybe_checkpoint(state)
     blowup = None
     try:
         for i in range(n_steps):
+            # each state before the last, sampled or not, goes to a stride file
+            if cfg.checkpoint_stride > 0 and state.step % cfg.checkpoint_stride == 0:
+                checkpoint(state, f"step{state.step:08d}")
             dt_i = cfg.dt if i < n_steps - 1 else last_dt
             if abs(dt_i - cfg.dt) < 1e-12 * cfg.dt:
                 state = step(state, forcing, cfg)
@@ -492,8 +490,6 @@ def run(
                 state = step(state, forcing, replace(cfg, dt=dt_i))
             if state.step % cfg.diag_stride == 0 or i == n_steps - 1:
                 builder.append(state.t, state.u, f_l2(state.t))
-                if i < n_steps - 1:
-                    maybe_checkpoint(state)
     except BlowUpError as exc:
         blowup = exc.report
         state = None

@@ -12,7 +12,8 @@ the p >= 0 half box c[..., n3:], of shape (3, 2 n1 + 1, 2 n2 + 1, n3 + 1),
 holds all of a field's data; it is the one stored form of a SpectralField
 (``half``), and its p = 0 plane is exactly Hermitian in itself.  The full box
 (``coeffs``) is derived from it as its conjugate mirror, for the public API,
-checkpoints and tests only.
+checkpoints and tests only.  A planar field (inequalities.Field2D) is stored
+the same way, as the n >= 0 half (2 n1 + 1, n2 + 1) of its (m, n) slab.
 
 Coefficients from outside (a SpectralField or planar Field2D built from a
 user array or a checkpoint) pass one checked construction, because silent
@@ -240,9 +241,7 @@ class SpectralField:
     @property
     def coeffs(self) -> np.ndarray:
         """The full mode box, mirrored from the half box (a new read-only array)."""
-        full = _mirror(self.half)
-        full.flags.writeable = False
-        return full
+        return _mirror(self.half)
 
     @classmethod
     def _wrap(cls, domain: DomainSpec, half: np.ndarray) -> "SpectralField":
@@ -335,12 +334,13 @@ def _mirror(half: np.ndarray, nd: int = 3) -> np.ndarray:
     """Full mode box from its nonnegative-last-axis half: p < 0 mirrors p > 0 conjugated.
 
     The last nd axes of half are mode axes, -n .. n on all but the last and
-    0 .. n on the last.
+    0 .. n on the last.  Returns a new read-only array.
     """
     n = half.shape[-1] - 1
     out = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=np.complex128)
     out[..., n:] = half
     np.conjugate(np.flip(half[..., 1:], axis=tuple(range(-nd, 0))), out=out[..., :n])
+    out.flags.writeable = False
     return out
 
 
@@ -393,16 +393,6 @@ def _analyze_half(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _synth(coeffs: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
-    """_synth_half of the nonnegative-last-axis half of a mode box (3 axes) or slab (2)."""
-    return _synth_half(coeffs[..., coeffs.shape[-1] // 2 :], grid)
-
-
-def _analyze(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
-    """Exactly Hermitian retained-mode coefficients of real samples: _analyze_half, mirrored."""
-    return _mirror(_analyze_half(samples, modes), len(modes))
-
-
 def to_physical(f: SpectralField, grid: tuple[int, int, int] | None = None) -> np.ndarray:
     """Real samples of the field on a uniform grid.
 
@@ -438,15 +428,17 @@ def _ds_multiplier(spec: DomainSpec, alpha: float) -> np.ndarray:
     return mult
 
 
-def _box_sum(a: np.ndarray) -> float:
+def _box_sum(a: np.ndarray, nd: int = 3) -> float:
     """Sum over the full mode box of a real quantity even in k, given on the half box.
 
-    The p < 0 planes are the p > 0 ones flipped over the mode axes.  The sum
-    runs over them in the full box's storage order, so it rounds as a sum
-    over the full box does: a weighted half-box sum moves norms by an ulp,
-    and with them the normalization of make_initial's fields.
+    The last nd axes of a are mode axes, the last one nonnegative; its
+    negative planes are the positive ones flipped over the mode axes.  The
+    sum runs over them in the full box's storage order, so it rounds as a
+    sum over the full box does: a weighted half-box sum moves norms by an
+    ulp, and with them the normalization of make_initial's fields.
     """
-    return float(np.sum(np.concatenate([np.flip(a[..., 1:], axis=(-3, -2, -1)), a], axis=-1)))
+    flipped = np.flip(a[..., 1:], axis=tuple(range(-nd, 0)))
+    return float(np.sum(np.concatenate([flipped, a], axis=-1)))
 
 
 def deriv(f: SpectralField, alpha: float) -> SpectralField:

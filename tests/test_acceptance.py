@@ -321,7 +321,9 @@ def test_criterion_10_gronwall_containment(fitted):
             TRAJ_DOMAIN, reports, U=entry["U"], F=entry["F"],
             regime=regime, data_threshold=0.1,
         )
-        rep = gw.check_trajectory(entry["series"], system)
+        times = entry["series"].times
+        env = gw.solve_envelope(system, horizon=float(times[-1]), times=times)
+        rep = gw.check_trajectory(entry["series"], env)
         ok &= rep.contained and not rep.guard_crossed
         if entry["F"] == 0.0:
             s = entry["series"]

@@ -41,6 +41,12 @@ def synthetic_series(times, theta, phi, psi, poincare, forcing=0.0):
     )
 
 
+def contain(series, sys: gw.InequalitySystem) -> gw.ContainmentReport:
+    """check_trajectory against the system's envelope on the series' times."""
+    env = gw.solve_envelope(sys, horizon=float(series.times[-1]), times=series.times)
+    return gw.check_trajectory(series, env)
+
+
 class TestSystemValidation:
     def test_positive_constants_required(self):
         with pytest.raises(ValueError, match="must be positive"):
@@ -132,7 +138,7 @@ class TestContainment:
             poincare=sys0.poincare_phi,
             forcing=sys0.F,
         )
-        report = gw.check_trajectory(series, sys0)
+        report = gw.check_trajectory(series, env)
         assert report.contained
         assert report.first_violation is None
 
@@ -140,7 +146,7 @@ class TestContainment:
         sys0 = base_system()
         times = np.linspace(0.0, 1.0, 11)
         series = synthetic_series(times, np.zeros(11), np.zeros(11), np.zeros(11), 0.16)
-        assert gw.check_trajectory(series, sys0).contained
+        assert contain(series, sys0).contained
 
     def test_scaled_violation_located(self):
         sys0 = base_system(U=0.2, F=0.1)
@@ -154,7 +160,7 @@ class TestContainment:
             sys0.poincare_phi, forcing=sys0.F,
         )
         # initial data still matches U, so the parameter check passes
-        report = gw.check_trajectory(series, sys0)
+        report = gw.check_trajectory(series, env)
         assert not report.contained
         assert report.first_violation[0] == "phi_sq"
         assert report.first_violation[1] == pytest.approx(times[40])
@@ -166,7 +172,15 @@ class TestContainment:
             times, np.full(11, 0.5), np.full(11, 0.5), np.full(11, 0.5), 0.16
         )
         with pytest.raises(ValueError, match="mismatched parameters"):
-            gw.check_trajectory(series, sys0)
+            contain(series, sys0)
+
+    def test_envelope_on_other_times_rejected(self):
+        sys0 = base_system()
+        times = np.linspace(0.0, 1.0, 11)
+        series = synthetic_series(times, np.zeros(11), np.zeros(11), np.zeros(11), 0.16)
+        env = gw.solve_envelope(sys0, horizon=1.0, times=np.linspace(0.0, 1.0, 21))
+        with pytest.raises(ValueError, match="sample times"):
+            gw.check_trajectory(series, env)
 
     def test_guard_trace_on_real_run(self):
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=8, n2=8, n3=2)
@@ -177,7 +191,7 @@ class TestContainment:
         sys_full = gw.InequalitySystem.from_fits(
             d, reports, U=0.08, F=0.0, regime="full", data_threshold=0.1
         )
-        rep = gw.check_trajectory(series, sys_full)
+        rep = contain(series, sys_full)
         assert rep.contained
         assert rep.guard_threshold is not None
         assert rep.guard_max is not None
@@ -189,7 +203,7 @@ class TestContainment:
         sys0 = base_system()
         times = np.linspace(0.0, 1.0, 11)
         series = synthetic_series(times, np.zeros(11), np.zeros(11), np.zeros(11), 0.16)
-        doc = gw.check_trajectory(series, sys0).to_dict()
+        doc = contain(series, sys0).to_dict()
         assert doc["contained"] is True
         assert doc["guard_crossed"] is False
 

@@ -105,6 +105,35 @@ class TestField2D:
         with pytest.raises(ValueError, match="Hermitian"):
             iq.Field2D(1.0, 1.0, 2, 2, raw)
 
+    @pytest.mark.parametrize("n1, n2", [(2, 2), (3, 1), (1, 4), (6, 5)])
+    def test_wrap_equals_checked_construction(self, rng, n1, n2):
+        """Field2D._wrap of the n >= 0 half of a _symmetrize'd slab is the checked
+        construction of that slab: the same half, slab and norms."""
+        shape = (2 * n1 + 1, 2 * n2 + 1)
+        sym = sp._symmetrize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 2)
+        checked = iq.Field2D(1.5, 1.0, n1, n2, sym)
+        wrapped = iq.Field2D._wrap(1.5, 1.0, n1, n2, sym[:, n2:])
+        assert wrapped.half.shape == (2 * n1 + 1, n2 + 1)
+        assert not wrapped.half.flags.writeable
+        assert np.array_equal(wrapped.half, checked.half)
+        assert np.array_equal(wrapped.coeffs, checked.coeffs)
+        for norm in ("norm_l2", "norm_l4"):
+            assert getattr(wrapped, norm)() == getattr(checked, norm)()
+        assert wrapped.norm_ds(0.5) == checked.norm_ds(0.5)
+
+    def test_norms_sum_the_full_slab(self, rng):
+        """norm_l2 and norm_ds from the half round as sums over the full slab do."""
+        n1, n2 = 5, 3
+        shape = (2 * n1 + 1, 2 * n2 + 1)
+        sym = sp._symmetrize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 2)
+        f = iq.Field2D(1.5, 1.0, n1, n2, sym)
+        area = f.area
+        assert f.norm_l2() == float(np.sqrt(area * np.sum(np.abs(f.coeffs) ** 2)))
+        mult = (2.0 * np.pi * iq._planar_kmag(1.5, 1.0, n1, n2)) ** 0.5
+        mult[n1, n2] = 0.0
+        ref = float(np.sqrt(area * np.sum(mult**2 * np.abs(f.coeffs) ** 2)))
+        assert f.norm_ds(0.5) == ref
+
     def test_embed_roundtrip_norm(self, rng):
         raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         sym = 0.5 * (raw + np.conj(np.flip(raw)))
@@ -335,6 +364,45 @@ class TestEstimators:
                 total += float(np.sum(np.power(block, p / 2.0)))
             ref = (d.volume * (total / np.prod(grid))) ** (1.0 / p)
             assert np.array_equal(iq.lp_norm(f, p, oversample), ref)
+
+    def test_split_rows_transformed_once(self, rng, monkeypatch):
+        """Each x row runs its y pass once per nonzero component, also where a block
+        boundary splits it: n3 + 1 planes times gx rows."""
+        ifft2_calls = iq.ifft2
+        rows = []
+
+        def counting(x, *args, axes, **kwargs):
+            if axes == (-1,):
+                rows.append(int(np.prod(x.shape[:-1])))
+            return ifft2_calls(x, *args, axes=axes, **kwargs)
+
+        monkeypatch.setattr(iq, "ifft2", counting)
+        f, oversample = _norm_field(rng, _NORM_BOXES[-1], (0, 2))
+        d = f.domain
+        sup_grid = iq._oversampled_grid(d, oversample)
+        quartic_grid = (next_fast_len(4 * d.n1 + 2), next_fast_len(4 * d.n2 + 2))
+        for norm, gx in ((lambda: iq.sup_norm(f, oversample), sup_grid[0]),
+                         (lambda: iq.lp_norm(f, 4.0), quartic_grid[0])):
+            rows.clear()
+            norm()
+            assert sum(rows) == 2 * (d.n3 + 1) * gx
+
+    def test_planar_estimate_checks_no_trial(self, monkeypatch):
+        """The planar-l4 trials and ascent candidates are exactly Hermitian by
+        construction and skip the checked construction."""
+        calls = []
+        checked = sp._checked_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(iq, "_checked_hermitian", counting)
+        monkeypatch.setattr(sp, "_checked_hermitian", counting)
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=8, n2=8, n3=1)
+        est = iq.estimate_constant("planar-l4", d, budget=200, seed=0)
+        assert est.trial_count == 100
+        assert calls == []
 
     @pytest.mark.parametrize("inequality", ["thin-sup", "poincare"])
     def test_closed_bracket_builds_no_random_family(self, thin_box, inequality, monkeypatch):

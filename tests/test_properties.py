@@ -57,7 +57,8 @@ def hermitian(rng: np.random.Generator, shape: tuple[int, ...], mode_axes: int) 
     seed=seeds,
 )
 def test_synthesis_matches_c2c(modes, pad, components, seed):
-    """_synth on two or three mode axes equals a numpy.fft c2c synthesis."""
+    """_synth_half of a Hermitian box's nonnegative-last-axis half, on two or three mode
+    axes, equals a numpy.fft c2c synthesis of the whole box."""
     nd = len(modes)
     grid = tuple(2 * n + 1 + p for n, p in zip(modes, pad))
     lead = (components,) if components else ()
@@ -67,7 +68,7 @@ def test_synthesis_matches_c2c(modes, pad, components, seed):
     full[(...,) + index] = coeffs
     axes = tuple(range(-nd, 0))
     ref = np.fft.ifftn(full, axes=axes) * math.prod(grid)
-    got = sp._synth(coeffs, grid)
+    got = sp._synth_half(coeffs[..., modes[-1] :], grid)
     scale = float(np.max(np.abs(ref)))
     assert got.shape == ref.shape
     assert np.max(np.abs(ref.imag)) <= 1e-12 * scale
@@ -82,12 +83,14 @@ def test_synthesis_matches_c2c(modes, pad, components, seed):
     seed=seeds,
 )
 def test_analysis_inverts_synthesis(modes, pad, components, seed):
-    """_analyze after _synth on two or three axes returns the coefficients, exactly Hermitian."""
+    """_analyze_half after _synth_half on two or three axes, mirrored, returns the
+    coefficients, exactly Hermitian."""
     nd = len(modes)
     grid = tuple(2 * n + 1 + p for n, p in zip(modes, pad))
     lead = (components,) if components else ()
     coeffs = hermitian(np.random.default_rng(seed), lead + tuple(2 * n + 1 for n in modes), nd)
-    back = sp._analyze(sp._synth(coeffs, grid), tuple(modes))
+    samples = sp._synth_half(coeffs[..., modes[-1] :], grid)
+    back = sp._mirror(sp._analyze_half(samples, tuple(modes)), nd)
     axes = tuple(range(-nd, 0))
     assert back.shape == coeffs.shape
     assert np.array_equal(back, np.conj(np.flip(back, axis=axes)))
@@ -104,7 +107,8 @@ def test_analysis_inverts_synthesis(modes, pad, components, seed):
 # 67 * 69 points: 1/N rounded through long double differs from 1.0/N there
 @example(modes=[3, 1], pad=[60, 66, 0], components=2, seed=1)
 def test_pruned_pair_equals_full_real_transforms(modes, pad, components, seed):
-    """_synth and _analyze give the same bits as scipy's irfftn/rfftn over the full grid."""
+    """_synth_half and _analyze_half give the same bits as scipy's irfftn/rfftn over the
+    full grid."""
     nd = len(modes)
     grid = tuple(2 * n + 1 + p for n, p in zip(modes, pad))
     axes = tuple(range(-nd, 0))
@@ -115,7 +119,7 @@ def test_pruned_pair_equals_full_real_transforms(modes, pad, components, seed):
     bins = np.ix_(*(np.arange(-n, n + 1) % g for n, g in zip(modes[:-1], grid[:-1])))
     half[(...,) + bins + (slice(modes[-1] + 1),)] = coeffs[..., modes[-1] :]
     ref = scipy.fft.irfftn(half, s=grid, axes=axes, norm="forward")
-    assert np.array_equal(sp._synth(coeffs, grid), ref)
+    assert np.array_equal(sp._synth_half(coeffs[..., modes[-1] :], grid), ref)
 
     samples = rng.standard_normal(lead + grid)
     full = scipy.fft.rfftn(samples, axes=axes, norm="forward")[(...,) + bins + (slice(None),)]
@@ -124,7 +128,7 @@ def test_pruned_pair_equals_full_real_transforms(modes, pad, components, seed):
     plane = ref[..., modes[-1]]
     plane[...] = 0.5 * (plane + np.conj(np.flip(plane, axis=axes[1:])))
     ref[..., : modes[-1]] = np.conj(np.flip(ref[..., modes[-1] + 1 :], axis=axes))
-    assert np.array_equal(sp._analyze(samples, tuple(modes)), ref)
+    assert np.array_equal(sp._mirror(sp._analyze_half(samples, tuple(modes)), nd), ref)
 
 
 # (box, initial kind, products per block or None for _BLOCK_BYTES as it is, analysis calls)

@@ -176,15 +176,19 @@ class TestRunInvariants:
         assert len(res.series) > 1  # the run itself completed
 
     @pytest.mark.parametrize(
-        "n_steps,stride", [(24, 12), (10, 4), (10, 0)], ids=["divides", "leaves-rest", "final-only"]
+        "n_steps,stride,diag",
+        [(24, 12, 1), (10, 4, 1), (10, 0, 1), (20, 5, 2)],
+        ids=["divides", "leaves-rest", "final-only", "unsampled-steps"],
     )
-    def test_checkpoints_written(self, tmp_path, n_steps, stride):
+    def test_checkpoints_written(self, tmp_path, n_steps, stride, diag):
         """Each state is written once: the stride multiples before the last step,
-        then the final state as run_final.ckpt, whatever the stride."""
+        sampled for diagnostics or not, then the final state as run_final.ckpt,
+        whatever the stride."""
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=4, n2=4, n3=1)
         u0 = single_mode_field(d)
         cfg = sv.SolverConfig(
-            dt=1e-3, t_end=n_steps * 1e-3, scheme="etd-rk2", checkpoint_stride=stride
+            dt=1e-3, t_end=n_steps * 1e-3, scheme="etd-rk2", checkpoint_stride=stride,
+            diag_stride=diag,
         )
         res = sv.run(u0, None, cfg, out_dir=str(tmp_path))
         assert res.io_error is None
