@@ -323,6 +323,8 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
         raise ConfigError(
             f"config key 'eps_list': several eps values would write to {', '.join(shared)}"
         )
+    if len(eps_values) < 3:
+        raise ConfigError("config key 'eps_list': a sweep needs at least 3 eps values")
     l1 = _coerce(cfg, "l1", float, default=4.0)
     l2 = _coerce(cfg, "l2", float, default=l1)
     n3 = _coerce(cfg, "n3", int, default=2)

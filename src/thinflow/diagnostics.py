@@ -32,9 +32,7 @@ from .spectral import (
     inner_l2,
     ksq_grid,
     kvec_grids,
-    load_checkpoint,
     norm_ds,
-    norm_l2,
     _box_sum,
     _synth_half,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "RegularityBoundsReport",
     "REGIMES",
     "sample_functionals",
-    "compute_series",
     "check_enstrophy_miracle",
     "s_transport_residual",
     "check_diff_inequalities",
@@ -90,7 +87,7 @@ class DiagnosticSeries:
         """(phi, psi, phi_tilde, psi_tilde) for 'planar' or 'full'."""
         if regime == "planar":
             return self.phi_2d, self.psi_2d, self.phi_tilde_2d, self.psi_tilde_2d
-        if regime in ("full", "full-split"):
+        if regime == "full":
             return self.phi, self.psi, self.phi_tilde, self.psi_tilde
         raise ValueError(f"unknown regime {regime!r}")
 
@@ -166,29 +163,6 @@ def sample_functionals(u: SpectralField) -> tuple:
         sqrt(d2w2), sqrt(theta2 + du2), sqrt(theta2 + du2 + d2u2),
         sqrt(dr2), sqrt(ds2), sqrt(d2r2), sqrt(d2s2),
     )
-
-
-def compute_series(fields, times, forcing=None) -> DiagnosticSeries:
-    """Diagnostics from in-memory fields or checkpoint paths.
-
-    forcing may be None (F = 0), an array of per-sample L2 magnitudes, or an
-    object with a ``value(t)`` method returning a field.
-    """
-    times = np.asarray(times, dtype=float)
-    builder = SeriesBuilder()
-    for i, (item, t) in enumerate(zip(fields, times)):
-        if isinstance(item, SpectralField):
-            u = item
-        else:
-            u, _ = load_checkpoint(item)
-        if forcing is None:
-            f_l2 = 0.0
-        elif hasattr(forcing, "value"):
-            f_l2 = norm_l2(forcing.value(t))
-        else:
-            f_l2 = float(np.asarray(forcing)[i])
-        builder.append(float(t), u, f_l2)
-    return builder.finish()
 
 
 # ---------------------------------------------------------------------------

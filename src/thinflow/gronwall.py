@@ -41,6 +41,7 @@ from .spectral import (
     proj_p,
     proj_q,
     to_physical,
+    _half_shape,
 )
 
 __all__ = [
@@ -410,37 +411,38 @@ def _quadrature_l2(f: SpectralField) -> float:
     return float(np.sqrt(f.domain.volume * np.mean(np.sum(phys**2, axis=0))))
 
 
+def _normal_form(src: DomainSpec) -> tuple[DomainSpec, int, np.ndarray]:
+    """The unit-viscosity box of src, its copy count n = floor(l1/l2), and the
+    target's y-mode rows (the source's y modes times n) in storage order."""
+    n = int(math.floor(src.l1 / src.l2))
+    target = DomainSpec(l1=1.0, l2=n * src.l2 / src.l1, eps=src.eps / src.l1, nu=1.0,
+                        n1=src.n1, n2=src.n2 * n, n3=src.n3)
+    return target, n, np.arange(-src.n2, src.n2 + 1) * n + target.n2
+
+
+def _map_half(g: SpectralField, target: DomainSpec, rows, scale: float) -> SpectralField:
+    """scale * g on the target box: its half box lands on the given y rows, the rest is zero."""
+    half = np.zeros(_half_shape(target), dtype=np.complex128)
+    half[:, :, rows, :] = scale * g.half
+    return SpectralField._wrap(target, half)
+
+
 def rescale(u: SpectralField, f: SpectralField | None = None) -> RescaleResult:
     """Map fields on [0,l1]x[0,l2]x[0,eps] to the unit-viscosity normal form.
 
     With n the integer part of l1/l2, the new fields live on
     [0,1] x [0, n l2/l1] x [0, eps/l1]; u is scaled by l1/nu and f by
-    l1^3/nu^2, and time contracts by nu/l1^2.  The L2 identity for f and the
-    gradient-seminorm identity for u are verified by physical-grid
-    quadrature on both boxes and their relative residuals are reported.
-    (The seminorm is the exact invariant; the inhomogeneous H1 norm picks up
-    an extra l1 factor on its L2 part.)
+    l1^3/nu^2, and time contracts by nu/l1^2.  The y mode k of the source
+    becomes the mode n k of the target, so the map copies the stored half
+    boxes into a zeroed target half and needs no Hermitian repair.  The L2
+    identity for f and the gradient-seminorm identity for u are verified by
+    physical-grid quadrature on both boxes and their relative residuals are
+    reported.  (The seminorm is the exact invariant; the inhomogeneous H1
+    norm picks up an extra l1 factor on its L2 part.)
     """
     src = u.domain
-    n = int(math.floor(src.l1 / src.l2))
-    target = DomainSpec(
-        l1=1.0,
-        l2=n * src.l2 / src.l1,
-        eps=src.eps / src.l1,
-        nu=1.0,
-        n1=src.n1,
-        n2=src.n2 * n,
-        n3=src.n3,
-    )
-
-    def map_coeffs(coeffs: np.ndarray, scale: float) -> np.ndarray:
-        out = np.zeros((3,) + target.shape, dtype=np.complex128)
-        src_n = np.arange(-src.n2, src.n2 + 1)
-        out[:, :, src_n * n + target.n2, :] = scale * coeffs
-        return out
-
-    u_scale = src.l1 / src.nu
-    u_tilde = SpectralField(target, map_coeffs(u.coeffs, u_scale))
+    target, n, rows = _normal_form(src)
+    u_tilde = _map_half(u, target, rows, src.l1 / src.nu)
 
     # gradient-seminorm identity by quadrature on both boxes
     factor_u = src.nu / math.sqrt(n * src.l1)
@@ -458,8 +460,7 @@ def rescale(u: SpectralField, f: SpectralField | None = None) -> RescaleResult:
     if f is not None:
         if f.domain != src:
             raise ValueError("u and f must share a domain")
-        f_scale = src.l1**3 / src.nu**2
-        f_tilde = SpectralField(target, map_coeffs(f.coeffs, f_scale))
+        f_tilde = _map_half(f, target, rows, src.l1**3 / src.nu**2)
         factor_f = src.nu**2 / (math.sqrt(n) * src.l1**1.5)
         lhs_f = _quadrature_l2(f)
         rhs_f = factor_f * _quadrature_l2(f_tilde)
@@ -477,20 +478,22 @@ def rescale(u: SpectralField, f: SpectralField | None = None) -> RescaleResult:
 
 
 def inverse_rescale(u_tilde: SpectralField, original: DomainSpec) -> SpectralField:
-    """Undo rescale: recover the field on the original box."""
-    n = int(math.floor(original.l1 / original.l2))
-    tgt = u_tilde.domain
-    if tgt.n2 != original.n2 * n:
-        raise ValueError("mode box does not match the rescaling of the original domain")
-    src_n = np.arange(-original.n2, original.n2 + 1)
-    coeffs = u_tilde.coeffs
-    picked = coeffs[:, :, src_n * n + tgt.n2, :]
-    off_lattice = coeffs.copy()
-    off_lattice[:, :, src_n * n + tgt.n2, :] = 0.0
-    scale = float(np.max(np.abs(coeffs)))
+    """Undo rescale: recover the field on the original box.
+
+    u_tilde must live on the normal form of original, with no mode off the
+    rows that rescale writes (a ValueError otherwise); those rows of its
+    half box, scaled back by nu/l1, are the result's half box.
+    """
+    target, _, rows = _normal_form(original)
+    if u_tilde.domain != target:
+        raise ValueError("box does not match the rescaling of the original domain")
+    half = u_tilde.half
+    off_lattice = half.copy()
+    off_lattice[:, :, rows, :] = 0.0
+    scale = float(np.max(np.abs(half)))
     if scale > 0 and float(np.max(np.abs(off_lattice))) > 1e-10 * scale:
         raise ValueError("field has off-lattice horizontal modes; not in the image of rescale")
-    return SpectralField(original, picked * (original.nu / original.l1))
+    return SpectralField._wrap(original, half[:, :, rows, :] * (original.nu / original.l1))
 
 
 def rescale_rhs_residual(u: SpectralField, f: SpectralField | None = None) -> float:
@@ -498,8 +501,9 @@ def rescale_rhs_residual(u: SpectralField, f: SpectralField | None = None) -> fl
 
     The rescaled fields must satisfy the unit-viscosity equation: the right
     side evaluated on the normalized box equals l1^3/nu^2 times the mapped
-    right side of the original equation.  Pure spectral computation, so the
-    residual is roundoff-level.
+    right side of the original equation.  u, f and the original right side
+    are each mapped once; pure spectral computation, so the residual is
+    roundoff-level.
     """
     def rhs(field: SpectralField, forcing: SpectralField | None) -> SpectralField:
         d = field.domain
@@ -510,10 +514,12 @@ def rescale_rhs_residual(u: SpectralField, f: SpectralField | None = None) -> fl
         return out
 
     src = u.domain
-    res = rescale(u, f)
-    rhs_orig = rhs(u, f)
-    rhs_mapped = rescale(rhs_orig).u_tilde * (src.l1**2 / src.nu)
-    rhs_tilde = rhs(res.u_tilde, res.f_tilde)
+    target, _, rows = _normal_form(src)
+    u_scale = src.l1 / src.nu
+    # rhs(u, f) also rejects an f on another domain
+    rhs_mapped = _map_half(rhs(u, f), target, rows, u_scale) * (src.l1**2 / src.nu)
+    f_tilde = None if f is None else _map_half(f, target, rows, src.l1**3 / src.nu**2)
+    rhs_tilde = rhs(_map_half(u, target, rows, u_scale), f_tilde)
     num = norm_l2(rhs_tilde - rhs_mapped)
     den = max(norm_l2(rhs_tilde), 1e-300)
     return num / den

@@ -55,6 +55,7 @@ from .spectral import (
     _checked_hermitian,
     _box_sum,
     _half_shape,
+    _hermitian_half,
     _mirror,
     _symmetrize,
     _synth_half,
@@ -535,6 +536,8 @@ def estimate_constant(
         raise ValueError(f"unknown inequality {inequality!r}; pick one of {INEQUALITIES}")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if not p > 1.0 or oversample < 1:
+        raise ValueError(f"need p > 1 and oversample >= 1, got p={p}, oversample={oversample}")
     rng = np.random.default_rng(seed)
     params = {"oversample": oversample, "alpha": alpha, "p": p}
 
@@ -549,7 +552,8 @@ def estimate_constant(
         n1, n2 = domain.n1, domain.n2
         kmag = _planar_kmag(domain.l1, domain.l2, n1, n2)
         kmag_safe = np.where(kmag == 0, 1.0, kmag)
-        make = lambda c: Field2D._wrap(domain.l1, domain.l2, n1, n2, c[:, n2:])
+        wrap = lambda half: Field2D._wrap(domain.l1, domain.l2, n1, n2, half)
+        make = lambda c: wrap(c[:, n2:])
         # the single-mode floor first: it is also the analytic regression target
         single = np.zeros(kmag.shape, dtype=np.complex128)
         single[n1 + 1, n2] = 0.5
@@ -572,7 +576,7 @@ def estimate_constant(
                 blocks,
             ]
 
-        random_trial = lambda env: make(_symmetrize(_draw(rng, kmag.shape, env), 2))
+        random_trial = lambda env: wrap(_hermitian_half(_draw(rng, kmag.shape, env), 2))
     else:
         q_constrained = inequality != "poincare"
         if q_constrained:
@@ -580,10 +584,11 @@ def estimate_constant(
             exponents = (4.0,) if inequality == "thin-sup" else (2.5, 3.0, 3.5)
             fixed = [(f"profile-{e}", _thin_profile(domain, e)) for e in exponents]
         else:
-            # the lowest mode lies along x: DomainSpec enforces l1 >= l2 > 4 eps
-            lowest = np.zeros((3,) + domain.shape, dtype=np.complex128)
-            lowest[0, domain.n1 + 1, domain.n2, domain.n3] = 0.5
-            fixed = [("lowest-mode", SpectralField(domain, _symmetrize(lowest, 3)))]
+            # the lowest mode lies along x (DomainSpec enforces l1 >= l2 > 4 eps): a
+            # conjugate pair of 0.25 in the p = 0 plane
+            lowest = np.zeros(_half_shape(domain), dtype=np.complex128)
+            lowest[0, [domain.n1 - 1, domain.n1 + 1], domain.n2, 0] = 0.25
+            fixed = [("lowest-mode", SpectralField._wrap(domain, lowest))]
 
         def random_families() -> list:
             ksq = np.asarray(ksq_grid(domain))
@@ -601,7 +606,7 @@ def estimate_constant(
             if q_constrained:
                 raw[:, :, domain.n3] = 0.0  # no vertical mean: live in the range of Q
             half = np.zeros(_half_shape(domain), dtype=np.complex128)
-            half[0] = _symmetrize(raw, 3)[..., domain.n3 :]
+            half[0] = _hermitian_half(raw, 3)
             return SpectralField._wrap(domain, half)
 
     ratio_fn = lambda cand: _RATIO_DISPATCH[inequality](cand, params)

@@ -63,6 +63,7 @@ from .spectral import (
     save_checkpoint,
     to_spectral,
     _analyze_half,
+    _box_sum,
     _leray_raw,
     _mirror,
     _synth_half,
@@ -180,6 +181,8 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.diag_stride < 1:
             raise ValueError("diag_stride must be >= 1")
+        if self.checkpoint_stride < 0:
+            raise ValueError("checkpoint_stride must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -385,15 +388,14 @@ def _check_blowup(u: SpectralField, t: float, step_no: int) -> None:
     max_coeff = float(np.max(np.abs(u.half)))
     if np.isfinite(max_coeff) and max_coeff <= _BLOWUP_THRESHOLD:
         return
-    coeffs = u.coeffs
-    finite = np.nan_to_num(coeffs, nan=0.0, posinf=0.0, neginf=0.0)
+    finite = np.nan_to_num(u.half, nan=0.0, posinf=0.0, neginf=0.0)
     raise BlowUpError(
         {
             "time": t,
             "step": step_no,
             "max_coeff": max_coeff,
-            "l2_of_finite_part": float(np.sqrt(np.sum(np.abs(finite) ** 2))),
-            "n_nonfinite": int(np.size(coeffs) - np.count_nonzero(np.isfinite(coeffs))),
+            "l2_of_finite_part": float(np.sqrt(_box_sum(np.abs(finite) ** 2))),
+            "n_nonfinite": int(_box_sum(~np.isfinite(u.half))),
         }
     )
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thinflow.diagnostics import DiagnosticSeries
+from thinflow.diagnostics import DiagnosticSeries, SeriesBuilder
 from thinflow.spectral import DomainSpec
 
 REFERENCE_DIR = Path(__file__).parent / "data"
@@ -38,3 +38,18 @@ def assert_matches_reference():
             )
 
     return check
+
+
+@pytest.fixture(scope="session")
+def series_of():
+    """A diagnostics series of in-memory fields at the given times, built row by row
+    through SeriesBuilder.append as a run builds it; forcing holds per-sample F values."""
+
+    def build(fields, times, forcing=None) -> DiagnosticSeries:
+        builder = SeriesBuilder()
+        f_l2 = np.zeros(len(times)) if forcing is None else np.asarray(forcing, dtype=float)
+        for u, t, f in zip(fields, times, f_l2):
+            builder.append(float(t), u, float(f))
+        return builder.finish()
+
+    return build

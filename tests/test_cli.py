@@ -145,6 +145,14 @@ class TestSimulate:
         assert (out / "diagnostics.csv").exists()
         assert not (out / "run_final.ckpt").exists()
 
+    def test_negative_checkpoint_stride_rejected(self, planar_cfg, tmp_path, capsys):
+        out = tmp_path / "neg"
+        rc = run_cli(["simulate", "-c", planar_cfg, "--out", str(out),
+                      "--set", "checkpoint_stride=-5"])
+        assert rc == cli.EXIT_CONFIG
+        assert "checkpoint_stride" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
+
     def test_checkpoint_write_failure_exit_code(self, planar_cfg, tmp_path, monkeypatch, capsys):
         """A failed checkpoint write is reported on stderr with its own exit code;
         the diagnostics, run_meta.json and the manifest are still written."""
@@ -293,6 +301,30 @@ class TestEstimateAndSweep:
         assert "eps_0.1" in capsys.readouterr().err
         assert not list(out.glob("eps_*"))
         assert not (out / "manifest.json").exists()
+
+    def test_sweep_rejects_fewer_than_three_eps_values(self, tmp_path, capsys):
+        """A slope needs three points: the list is rejected before any estimate runs."""
+        out = tmp_path / "sweep"
+        rc = run_cli([
+            "sweep", "--out", str(out), "--set", "eps_list=0.25,0.125",
+            "--set", "budget=4", "--set", "cap=16",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert "at least 3 eps values" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("setting", ["p=1", "p=0.5", "oversample=0"])
+    def test_estimate_rejects_bad_exponent_or_oversampling(self, tmp_path, capsys, setting):
+        out = tmp_path / "est"
+        rc = run_cli([
+            "estimate-constants", "--out", str(out), "--set", "inequality=hausdorff-young",
+            "--set", "l1=1", "--set", "l2=1", "--set", "eps=0.2", "--set", "nu=1",
+            "--set", "n1=3", "--set", "n2=3", "--set", "n3=2",
+            "--set", "budget=8", "--set", setting,
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert "p > 1 and oversample >= 1" in capsys.readouterr().err
+        assert not (out / "estimate.json").exists()
 
 
 class TestRescaleAndThresholds:

@@ -20,20 +20,20 @@ def domain2d():
 
 
 class TestSampleFunctionals:
-    def test_zero_field(self, small_domain):
-        series = dg.compute_series([sp.SpectralField.zeros(small_domain)], [0.0])
+    def test_zero_field(self, series_of, small_domain):
+        series = series_of([sp.SpectralField.zeros(small_domain)], [0.0])
         assert series.theta[0] == 0.0
         assert series.h2[0] == 0.0
         assert series.chi[0] == 0.0
 
-    def test_z_independent_families_coincide(self, small_domain, rng):
+    def test_z_independent_families_coincide(self, series_of, small_domain, rng):
         u = sp.leray(sp.proj_p(sp.random_field(small_domain, rng)))
-        s = dg.compute_series([u], [0.0])
+        s = series_of([u], [0.0])
         assert s.chi[0] == 0.0
         assert s.phi[0] == pytest.approx(s.phi_2d[0], rel=1e-14)
         assert s.psi[0] == pytest.approx(s.psi_2d[0], rel=1e-14)
 
-    def test_single_mode_closed_form(self):
+    def test_single_mode_closed_form(self, series_of):
         """All functionals of one conjugate pair follow from the multiplier."""
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=2)
         a, (m, n, p) = 0.35, (1, 2, 1)
@@ -41,7 +41,7 @@ class TestSampleFunctionals:
         c[2, d.n1 + m, d.n2 + n, d.n3 + p] = a / 2
         c[2, d.n1 - m, d.n2 - n, d.n3 - p] = a / 2
         u = sp.SpectralField(d, c)
-        s = dg.compute_series([u], [0.0])
+        s = series_of([u], [0.0])
         ksq = m**2 / d.l1**2 + n**2 / d.l2**2 + p**2 / d.eps**2
         l2 = np.sqrt(d.volume * a**2 / 2)
         assert s.theta[0] == pytest.approx(l2, rel=1e-12)
@@ -53,11 +53,11 @@ class TestSampleFunctionals:
         assert s.chi[0] == pytest.approx((2 * np.pi) ** 2 * ksq * l2, rel=1e-12)
         assert s.h1[0] == pytest.approx(np.sqrt(l2**2 + dw**2), rel=1e-12)
 
-    def test_poincare_chains_on_series(self, rng):
+    def test_poincare_chains_on_series(self, series_of, rng):
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=6, n2=6, n3=2)
         c = sp.poincare_constant(d, 1.0)
         fields = [sp.leray(sp.random_field(d, rng)) for _ in range(10)]
-        s = dg.compute_series(fields, np.arange(10.0))
+        s = series_of(fields, np.arange(10.0))
         tol = 1 + 1e-12
         for regime in ("planar", "full"):
             phi, psi, phit, psit = s.family(regime)
@@ -65,27 +65,16 @@ class TestSampleFunctionals:
             assert np.all(psi <= c * psit * tol)
             assert np.all(s.theta**2 <= c**2 * (phi**2 + psi**2) * tol)
 
-    def test_full_family_dominates_planar(self, rng):
+    def test_full_family_dominates_planar(self, series_of, rng):
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=6, n2=6, n3=2)
         fields = [sp.leray(sp.random_field(d, rng)) for _ in range(5)]
-        s = dg.compute_series(fields, np.arange(5.0))
+        s = series_of(fields, np.arange(5.0))
         assert np.all(s.phi >= s.phi_2d - 1e-15)
         assert np.all(s.psi >= s.psi_2d - 1e-15)
 
-    def test_compute_series_from_checkpoints(self, small_domain, rng, tmp_path):
-        fields = [sp.random_field(small_domain, rng) for _ in range(3)]
-        paths = []
-        for i, f in enumerate(fields):
-            p = tmp_path / f"f{i}.ckpt"
-            sp.save_checkpoint(f, p, time=float(i))
-            paths.append(str(p))
-        s_mem = dg.compute_series(fields, [0.0, 1.0, 2.0])
-        s_disk = dg.compute_series(paths, [0.0, 1.0, 2.0])
-        np.testing.assert_allclose(s_disk.h2, s_mem.h2, rtol=1e-15)
-
-    def test_csv_round_trip(self, small_domain, rng, tmp_path):
+    def test_csv_round_trip(self, series_of, small_domain, rng, tmp_path):
         fields = [sp.random_field(small_domain, rng) for _ in range(4)]
-        s = dg.compute_series(fields, np.linspace(0, 1, 4), forcing=np.ones(4))
+        s = series_of(fields, np.linspace(0, 1, 4), forcing=np.ones(4))
         path = tmp_path / "diag.csv"
         s.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -135,15 +124,15 @@ class TestEnstrophyMiracle:
 
 
 class TestDiffInequalities:
-    def test_series_too_short(self, small_domain, rng):
+    def test_series_too_short(self, series_of, small_domain, rng):
         fields = [sp.random_field(small_domain, rng) for _ in range(4)]
-        s = dg.compute_series(fields, np.arange(4.0))
+        s = series_of(fields, np.arange(4.0))
         with pytest.raises(ValueError, match="too short"):
             dg.check_diff_inequalities(s, eps=0.125, regime="planar")
 
-    def test_unknown_regime(self, small_domain, rng):
+    def test_unknown_regime(self, series_of, small_domain, rng):
         fields = [sp.random_field(small_domain, rng) for _ in range(6)]
-        s = dg.compute_series(fields, np.arange(6.0))
+        s = series_of(fields, np.arange(6.0))
         with pytest.raises(ValueError, match="regime"):
             dg.check_diff_inequalities(s, eps=0.125, regime="vertical")
 
@@ -170,9 +159,9 @@ class TestDiffInequalities:
         with pytest.raises(dg.NumericalError, match="constant fit LP failed"):
             dg._fit_chebyshev(np.ones(6), {"damping": -np.ones(6)}, {"damping": (0.0, 1e9)})
 
-    def test_zero_trajectory_trivially_passes(self, small_domain):
+    def test_zero_trajectory_trivially_passes(self, series_of, small_domain):
         fields = [sp.SpectralField.zeros(small_domain)] * 8
-        s = dg.compute_series(fields, np.linspace(0, 1, 8))
+        s = series_of(fields, np.linspace(0, 1, 8))
         for regime in dg.REGIMES:
             for r in dg.check_diff_inequalities(s, eps=0.125, regime=regime):
                 assert r.passed
@@ -263,8 +252,8 @@ class TestEnergyIdentityHelper:
         assert len(mids) == (len(series) - 1) // 2
         assert np.all(residual <= 1e-6 * scale)
 
-    def test_short_series_rejected(self, small_domain):
-        series = dg.compute_series([sp.SpectralField.zeros(small_domain)] * 2, [0.0, 1.0])
+    def test_short_series_rejected(self, series_of, small_domain):
+        series = series_of([sp.SpectralField.zeros(small_domain)] * 2, [0.0, 1.0])
         with pytest.raises(ValueError, match="3 samples"):
             dg.energy_identity_residuals(series, 1.0)
 

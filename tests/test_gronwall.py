@@ -1,11 +1,13 @@
 """Tests for comparison envelopes, rescaling, and threshold tables."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from thinflow import cli
 from thinflow import diagnostics as dg
 from thinflow import gronwall as gw
 from thinflow import solver as sv
@@ -245,6 +247,54 @@ class TestRescale:
         bad[0, tgt.n1 - 1, tgt.n2 - 1, tgt.n3] += 0.5
         with pytest.raises(ValueError, match="off-lattice"):
             gw.inverse_rescale(sp.SpectralField(tgt, bad), d)
+
+    def test_inverse_rejects_a_field_from_another_box(self, rng):
+        """A field with the normal form's modes but half its eps is not in the image."""
+        d = sp.DomainSpec(l1=2.0, l2=1.0, eps=0.125, nu=0.5, n1=4, n2=4, n3=1)
+        res = gw.rescale(sp.leray(sp.random_field(d, rng)))
+        other = replace(res.domain, eps=res.domain.eps / 2)
+        with pytest.raises(ValueError, match="rescaling of the original domain"):
+            gw.inverse_rescale(sp.SpectralField(other, res.u_tilde.coeffs), d)
+
+    @pytest.mark.parametrize("l1, nu", [(1.0, 1.0), (2.0, 0.5), (3.5, 0.02)])
+    def test_map_equals_the_checked_full_box_map(self, l1, nu):
+        """rescale copies half boxes; that gives the same bits as the checked
+        construction of the mapped full box, for u and for f."""
+        d = sp.DomainSpec(l1=l1, l2=1.0, eps=0.125, nu=nu, n1=5, n2=4, n3=2)
+        r = np.random.default_rng(7)
+        u = sp.leray(sp.random_field(d, r, slope=-1.0))
+        f = sp.leray(sp.random_field(d, r, slope=-1.0))
+        res = gw.rescale(u, f)
+        tgt = res.domain
+        rows = np.arange(-d.n2, d.n2 + 1) * res.n + tgt.n2
+        for g, got, scale in ((u, res.u_tilde, l1 / nu), (f, res.f_tilde, l1**3 / nu**2)):
+            full = np.zeros((3,) + tgt.shape, dtype=np.complex128)
+            full[:, :, rows, :] = scale * g.coeffs
+            assert got.half.tobytes() == sp.SpectralField(tgt, full).half.tobytes()
+
+    def test_rescale_check_builds_no_full_box(self, tmp_path, monkeypatch):
+        """One CLI rescale-check passes no field through the checked construction
+        and synthesizes four grids: the two quadrature identities' two boxes."""
+        calls = {"checked": 0, "synth": 0}
+        checked, synth = sp._checked_hermitian, sp._synth_half
+
+        def counting_checked(*args, **kwargs):
+            calls["checked"] += 1
+            return checked(*args, **kwargs)
+
+        def counting_synth(*args, **kwargs):
+            calls["synth"] += 1
+            return synth(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "_checked_hermitian", counting_checked)
+        monkeypatch.setattr(sp, "_synth_half", counting_synth)
+        rc = cli.main([
+            "rescale-check", "--out", str(tmp_path / "rc"),
+            "--set", "l1=2", "--set", "l2=1", "--set", "eps=0.125", "--set", "nu=0.5",
+            "--set", "n1=5", "--set", "n2=5", "--set", "n3=2",
+        ])
+        assert rc == cli.EXIT_OK
+        assert calls == {"checked": 0, "synth": 4}
 
     def test_rescaled_field_satisfies_unit_equation(self, rng):
         d = sp.DomainSpec(l1=2.0, l2=1.0, eps=0.125, nu=0.5, n1=5, n2=4, n3=2)

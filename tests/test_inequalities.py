@@ -195,6 +195,12 @@ class TestEstimators:
         with pytest.raises(ValueError, match="budget"):
             iq.estimate_constant("thin-sup", thin_box, budget=0)
 
+    @pytest.mark.parametrize("kwargs", [{"p": 1.0}, {"p": 0.5}, {"oversample": 0}])
+    def test_exponent_and_oversampling_validated(self, thin_box, kwargs):
+        """p = 1 has no conjugate exponent, p < 1 no norm, and oversample = 0 no grid."""
+        with pytest.raises(ValueError, match="p > 1 and oversample >= 1"):
+            iq.estimate_constant("hausdorff-young", thin_box, budget=8, **kwargs)
+
     def test_planar_l4_floor_and_reproduction(self):
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=16, n2=16, n3=1)
         est = iq.estimate_constant("planar-l4", d, budget=60, seed=1)
@@ -402,6 +408,23 @@ class TestEstimators:
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=8, n2=8, n3=1)
         est = iq.estimate_constant("planar-l4", d, budget=200, seed=0)
         assert est.trial_count == 100
+        assert calls == []
+
+    @pytest.mark.parametrize("inequality", ["thin-l4", "poincare"])
+    def test_estimate_checks_no_trial(self, thin_box, inequality, monkeypatch):
+        """The 3D trials (random, and poincare's lowest mode) and ascent candidates are
+        built as exactly Hermitian half boxes and skip the checked construction."""
+        calls = []
+        checked = sp._checked_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(iq, "_checked_hermitian", counting)
+        monkeypatch.setattr(sp, "_checked_hermitian", counting)
+        est = iq.estimate_constant(inequality, thin_box, budget=12, seed=4)
+        assert est.trial_count == (6 if inequality == "thin-l4" else 1)
         assert calls == []
 
     @pytest.mark.parametrize("inequality", ["thin-sup", "poincare"])

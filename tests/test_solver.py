@@ -250,6 +250,26 @@ class TestGuards:
             sv.SolverConfig(dt=1e-3, t_end=1.0, scheme="euler")
         with pytest.raises(ValueError, match="diag_stride"):
             sv.SolverConfig(dt=1e-3, t_end=1.0, diag_stride=0)
+        with pytest.raises(ValueError, match="checkpoint_stride"):
+            sv.SolverConfig(dt=1e-3, t_end=1.0, checkpoint_stride=-5)
+
+    def test_blowup_report_sums_the_full_box(self, rng):
+        """With NaN and +-inf injected, the report read off the half box equals the
+        one read off the full box, bit for bit."""
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=5, n2=4, n3=2)
+        half = sp.random_field(d, rng).half.copy()
+        half[0, 1, 2, 0] = np.nan
+        half[1, 3, 0, 1] = complex(np.inf, 1.0)
+        half[2, 0, 4, 2] = complex(0.5, -np.inf)
+        u = sp.SpectralField._wrap(d, half)
+        with pytest.raises(sv.BlowUpError) as info:
+            sv._check_blowup(u, 0.25, 3)
+        coeffs = u.coeffs
+        finite = np.nan_to_num(coeffs, nan=0.0, posinf=0.0, neginf=0.0)
+        report = info.value.report
+        assert report["l2_of_finite_part"] == float(np.sqrt(np.sum(np.abs(finite) ** 2)))
+        assert report["n_nonfinite"] == int(np.size(coeffs) - np.count_nonzero(np.isfinite(coeffs)))
+        assert report["n_nonfinite"] == 5
 
 
 class TestForcing:

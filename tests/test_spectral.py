@@ -114,6 +114,15 @@ class TestFieldConstruction:
         flipped = np.conj(np.flip(h.coeffs, axis=(1, 2, 3)))
         np.testing.assert_allclose(h.coeffs, flipped, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(3, 9, 7, 5), (5, 3), (2, 7, 9)])
+    def test_hermitian_half_is_the_symmetrized_half(self, shape, rng):
+        """_hermitian_half forms, bit for bit, the last-axis n >= 0 half of _symmetrize."""
+        nd = 3 if len(shape) == 4 else 2
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        n = shape[-1] // 2
+        want = sp._symmetrize(raw, nd)[..., n:]
+        assert sp._hermitian_half(raw, nd).tobytes() == want.tobytes()
+
 
 class TestTransforms:
     def test_single_mode_is_cosine(self, small_domain):
