@@ -11,12 +11,14 @@ Advection is computed in divergence form, div(u u), which equals u . grad u
 pointwise for divergence-free band-limited fields.  The six distinct
 products u_i u_j are formed on a padded grid, so the convolution is exact on
 the retained band and advection stays energy-neutral to roundoff.  One
-nonlinear evaluation costs one synthesis of the three velocity components
-and an analysis of the six products, each a c2c transform over (x, y) of
-the n3 + 1 planes p >= 0 plus a real transform along z.  The products are
-analysed in blocks of at most _BLOCK_BYTES, so on a large grid they and
-their transforms are never all held at once (one product per block at
-(32,32,8)); small grids take one block.
+nonlinear evaluation synthesizes the three velocity components one at a
+time and analyses the six products one at a time, each a real transform
+along z plus a c2c transform over (x, y) of the n3 + 1 planes p >= 0.  A
+product is formed and transformed along z block by block of x rows, at
+most _BLOCK_BYTES of samples per block (24 of 98 rows at (32,32,8); small
+grids take one block), into one plane stack that a single c2c call then
+finishes.  Each product is added into the advection rows as soon as it is
+ready, so neither a full-grid product nor a stack of products is held.
 
 A step works on the field's stored p >= 0 half box throughout: the linear
 factors are built there, and advection, the Leray projection and the stage
@@ -62,10 +64,11 @@ from .spectral import (
     random_field,
     save_checkpoint,
     to_spectral,
-    _analyze_half,
     _box_sum,
+    _c2c_half,
     _leray_raw,
     _mirror,
+    _r2c_planes,
     _synth_half,
 )
 
@@ -216,40 +219,32 @@ class BlowUpError(RuntimeError):
         self.report = report
 
 
-# the six distinct products u_i u_j, and for each i the product index of (i, j), j = 0..2
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_ROWS = ([0, 3, 4], [3, 1, 5], [4, 5, 2])
-
-#: bytes of product samples analysed per call: larger products stream through in blocks
+#: bytes of product samples formed per r2c call: larger grids stream through in blocks of x rows
 _BLOCK_BYTES = 2**19
 
 
-def _products(u: np.ndarray, pairs=_PAIRS, out: np.ndarray | None = None) -> np.ndarray:
-    """The products u_i u_j of velocity samples for the given pairs, into out[:len(pairs)]."""
-    if out is None:
-        out = np.empty((len(pairs),) + u.shape[1:])
-    out = out[: len(pairs)]
-    for q, (i, j) in enumerate(pairs):
-        np.multiply(u[i], u[j], out=out[q])
-    return out
+def _product_halves(
+    u: list | np.ndarray, pairs: tuple[tuple[int, int], ...], modes: tuple[int, ...]
+) -> np.ndarray:
+    """Half boxes of the products u[i] u[j] of velocity samples for the given pairs.
 
-
-def _product_half(u: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
-    """_analyze_half of the six products of velocity samples u, streamed in blocks.
-
-    As many products as fit in _BLOCK_BYTES (at least one) are formed into
-    one reused buffer and analysed by one _analyze_half call, which writes
-    into the (6, ...) result.  Each product's transforms are independent of
-    the others', so the result is the same bits as one call on all six.
+    The products are formed block by block of x rows, as many rows as fit
+    in _BLOCK_BYTES (at least one) for all pairs at once, into one reused
+    buffer; each block's r2c pass writes its rows of one plane stack, which
+    one c2c call then finishes.  Every transform line is independent of the
+    others, so the result is the same bits as one _analyze_half call on the
+    whole products.
     """
-    per = max(1, min(len(_PAIRS), _BLOCK_BYTES // u[0].nbytes))
-    buf = np.empty((per,) + u.shape[1:])
-    half_shape = tuple(2 * n + 1 for n in modes[:-1]) + (modes[-1] + 1,)
-    out = np.empty((len(_PAIRS),) + half_shape, dtype=np.complex128)
-    for q in range(0, len(_PAIRS), per):
-        block = _products(u, _PAIRS[q : q + per], out=buf)
-        out[q : q + len(block)] = _analyze_half(block, modes)
-    return out
+    grid = u[pairs[0][0]].shape
+    rows = max(1, _BLOCK_BYTES // (8 * len(pairs) * math.prod(grid[1:])))
+    buf = np.empty((len(pairs), min(rows, grid[0])) + grid[1:])
+    planes = np.empty((len(pairs),) + grid[:-1] + (modes[-1] + 1,), dtype=np.complex128)
+    for a in range(0, grid[0], rows):
+        block = buf[:, : min(rows, grid[0] - a)]
+        for q, (i, j) in enumerate(pairs):
+            np.multiply(u[i][a : a + rows], u[j][a : a + rows], out=block[q])
+        _r2c_planes(block, planes[:, a : a + rows], math.prod(grid))
+    return _c2c_half(planes, modes)
 
 
 def _nonlinear_raw(
@@ -260,26 +255,46 @@ def _nonlinear_raw(
 ) -> np.ndarray:
     """-L div(u u) + f on the p >= 0 half box, from u's half box coeffs.
 
-    div(u u) equals (u . grad u) for divergence-free u.  One synthesis of
-    the 3 velocity components, then the 6 products are analysed in blocks
-    of at most _BLOCK_BYTES (_product_half), so they and their transforms
-    are never held all at once on a large grid.  When every p > 0
-    coefficient is exactly zero, u is z-independent: both then run on the
-    p = 0 slab, and only that plane of the result is nonzero and projected.
+    div(u u) equals (u . grad u) for divergence-free u.  The velocity
+    components are synthesized one at a time, then the six products u_i u_j
+    are analysed one by one in the order 00, 01, 11, 02, 12, 22 (each
+    streamed by x rows, _product_halves) and added into the advection rows
+    as soon as they are ready; u_0 and u_1 are dropped after their last
+    product.  When every p > 0 coefficient is exactly zero, u is
+    z-independent: both transforms then run on the p = 0 slab, the five
+    products the x and y derivatives read in one call, and only that plane
+    of the result is nonzero and projected.
     """
     n1, n2, n3 = spec.n1, spec.n2, spec.n3
     k1, k2, k3 = kvec_grids(spec)
-    if not coeffs[..., 1:].any():
-        # synthesize the n >= 0 half of the p = 0 plane; uu is a half box of one plane
-        phys = _synth_half(coeffs[:, :, n2:, 0], grid[:2])
-        uu = _mirror(_product_half(phys, (n1, n2)), 2)[..., None]
-        adv = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]]
-    else:
-        uu = _product_half(_synth_half(coeffs, grid), (n1, n2, n3))
-        adv = k1 * uu[_ROWS[0]] + k2 * uu[_ROWS[1]] + k3[..., n3:] * uu[_ROWS[2]]
-    adv *= 2j * np.pi
     out = np.zeros(coeffs.shape, dtype=np.complex128)
-    np.negative(_leray_raw(adv, spec), out=out[..., : adv.shape[-1]])
+    if not coeffs[..., 1:].any():
+        # synthesize the n >= 0 half of the p = 0 plane; uu holds half boxes of one plane
+        phys = _synth_half(coeffs[:, :, n2:, 0], grid[:2])
+        pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
+        uu = _mirror(_product_halves(phys, pairs, (n1, n2)), 2)[..., None]
+        adv = out[..., :1]
+        adv[...] = k1 * uu[:3] + k2 * uu[[1, 3, 4]]
+    else:
+        adv = out
+        u = [_synth_half(c, grid) for c in coeffs]
+        k = (k1, k2, k3[..., n3:])
+        for j in range(3):
+            for i in range(j + 1):
+                uij = _product_halves(u, ((i, j),), (n1, n2, n3))[0]
+                # row j sums k_i u_i u_j over i = 0, 1, 2 left to right, as one expression would
+                if i == 0:
+                    np.multiply(k[0], uij, out=adv[j])
+                else:
+                    adv[j] += k[i] * uij
+                if i < j:
+                    adv[i] += k[j] * uij
+                # free the product, and u_i after its last one, before the next
+                del uij
+                if j == 2:
+                    u[i] = None
+    adv *= 2j * np.pi
+    np.negative(_leray_raw(adv, spec, out=adv), out=adv)
     if f_raw is not None:
         out += f_raw
     out[:, n1, n2, 0] = 0.0

@@ -131,7 +131,31 @@ def test_pruned_pair_equals_full_real_transforms(modes, pad, components, seed):
     assert np.array_equal(sp._mirror(sp._analyze_half(samples, tuple(modes)), nd), ref)
 
 
-# (box, initial kind, products per block or None for _BLOCK_BYTES as it is, analysis calls)
+def _stacked_reference(half: np.ndarray, d: sp.DomainSpec, grid) -> np.ndarray:
+    """The nonlinear term with the velocity samples synthesized by one call, all six
+    products held and analysed by one _analyze_half call, and each advection row
+    summed as one expression."""
+    n1, n2, n3 = d.n1, d.n2, d.n3
+    k1, k2, k3 = sp.kvec_grids(d)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    rows = ([0, 3, 4], [3, 1, 5], [4, 5, 2])  # for each i, the index of the product (i, j)
+    if not half[..., 1:].any():
+        phys = sp._synth_half(half[:, :, n2:, 0], grid[:2])
+        products = np.stack([phys[i] * phys[j] for i, j in pairs])
+        uu = sp._mirror(sp._analyze_half(products, (n1, n2)), 2)[..., None]
+        adv = k1 * uu[rows[0]] + k2 * uu[rows[1]]
+    else:
+        phys = sp._synth_half(half, grid)
+        uu = sp._analyze_half(np.stack([phys[i] * phys[j] for i, j in pairs]), (n1, n2, n3))
+        adv = k1 * uu[rows[0]] + k2 * uu[rows[1]] + k3[..., n3:] * uu[rows[2]]
+    adv *= 2j * np.pi
+    out = np.zeros(half.shape, dtype=np.complex128)
+    out[..., : adv.shape[-1]] = -sp._leray_raw(adv, d)
+    out[:, n1, n2, 0] = 0.0
+    return out
+
+
+# (box, initial kind, products per _product_halves call or None for all six, the calls' sizes)
 _STREAM_CASES = [
     ((8, 8, 2), "z-independent", None, [6]),
     ((8, 8, 2), "z-independent", 4, [4, 2]),
@@ -142,27 +166,66 @@ _STREAM_CASES = [
 
 
 @pytest.mark.parametrize(
-    "box, kind, per_block, blocks", _STREAM_CASES, ids=lambda c: str(c).replace(" ", "")
+    "box, kind, per_call, calls", _STREAM_CASES, ids=lambda c: str(c).replace(" ", "")
 )
-def test_streamed_products_equal_one_analysis(monkeypatch, box, kind, per_block, blocks):
-    """The blocked nonlinear term is the same bits as one _analyze_half call on all six
-    products; the slab and the test boxes are one block under _BLOCK_BYTES as it is."""
+def test_streamed_products_equal_one_analysis(monkeypatch, box, kind, per_call, calls):
+    """_product_halves gives the same bits as one _analyze_half call on all six products
+    stacked, however the products are grouped into calls and whether each call streams
+    blocks of one x row, of three, or of the whole grid; on slab and on 3D samples."""
+    d = sp.DomainSpec(l1=1.5, l2=1.0, eps=0.1, nu=1.0, n1=box[0], n2=box[1], n3=box[2])
+    half = sv.make_initial(d, kind, u_target=1.0, seed=5).half
+    grid = sp.default_grid(d)
+    if kind == "z-independent":
+        assert not half[..., 1:].any()
+        phys, modes = sp._synth_half(half[:, :, d.n2 :, 0], grid[:2]), (d.n1, d.n2)
+    else:
+        phys, modes = sp._synth_half(half, grid), (d.n1, d.n2, d.n3)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    ref = sp._analyze_half(np.stack([phys[i] * phys[j] for i, j in pairs]), modes)
+    step = per_call or len(pairs)
+    groups = [pairs[a : a + step] for a in range(0, len(pairs), step)]
+    # bytes of one x row of one product
+    row_bytes = 8 * math.prod(phys.shape[2:])
+    seen = []
+    inner = sv._r2c_planes
+    monkeypatch.setattr(sv, "_r2c_planes", lambda s, o, c: seen.append(s.shape[:2]) or inner(s, o, c))
+    for rows in (1, 3, grid[0]):
+        seen.clear()
+        got = []
+        for group in groups:
+            monkeypatch.setattr(sv, "_BLOCK_BYTES", rows * len(group) * row_bytes)
+            got.append(sv._product_halves(phys, group, modes))
+        assert np.array_equal(np.concatenate(got), ref), rows
+        blocks = [min(rows, grid[0] - a) for a in range(0, grid[0], rows)]
+        assert seen == [(n, b) for n in calls for b in blocks]
+
+
+@pytest.mark.parametrize(
+    "box, kind",
+    [((8, 8, 2), "z-independent"), ((6, 4, 3), "random-divfree"), ((5, 7, 1), "q-perturbed")],
+    ids=lambda c: str(c).replace(" ", ""),
+)
+def test_streamed_nonlinear_term_equals_one_analysis(monkeypatch, box, kind):
+    """The nonlinear term streamed by blocks of one x row, of three, or of the whole
+    grid is the same bits as all products analysed by one call, on the slab path (five
+    products per block) and on the 3D path (one product at a time)."""
     d = sp.DomainSpec(l1=1.5, l2=1.0, eps=0.1, nu=1.0, n1=box[0], n2=box[1], n3=box[2])
     half = sv.make_initial(d, kind, u_target=1.0, seed=5).half
     grid = sp.default_grid(d)
     planar = kind == "z-independent"
     assert planar == (not half[..., 1:].any())
-    if per_block is not None:
-        product_bytes = 8 * math.prod(grid[:2] if planar else grid)
-        monkeypatch.setattr(sv, "_BLOCK_BYTES", per_block * product_bytes)
-    calls = []
-    inner = sv._analyze_half
-    monkeypatch.setattr(sv, "_analyze_half", lambda s, m: calls.append(len(s)) or inner(s, m))
-    got = sv._nonlinear_raw(half, d, grid, None)
-    assert calls == blocks
-
-    monkeypatch.setattr(sv, "_product_half", lambda u, modes: inner(sv._products(u), modes))
-    assert np.array_equal(got, sv._nonlinear_raw(half, d, grid, None))
+    ref = _stacked_reference(half, d, grid)
+    # bytes of one x row of the products one block forms
+    row_bytes = 8 * 5 * grid[1] if planar else 8 * grid[1] * grid[2]
+    seen = []
+    inner = sv._r2c_planes
+    monkeypatch.setattr(sv, "_r2c_planes", lambda s, o, c: seen.append(s.shape[:2]) or inner(s, o, c))
+    for rows in (1, 3, grid[0]):
+        monkeypatch.setattr(sv, "_BLOCK_BYTES", rows * row_bytes)
+        seen.clear()
+        assert np.array_equal(sv._nonlinear_raw(half, d, grid, None), ref), rows
+        blocks = [min(rows, grid[0] - a) for a in range(0, grid[0], rows)]
+        assert seen == ([(5, b) for b in blocks] if planar else [(1, b) for b in blocks] * 6)
 
 
 def test_contour_mean_per_distinct_z_equals_elementwise():

@@ -389,12 +389,20 @@ class TestStepMemory:
     d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=32, n2=32, n3=8)
 
     def test_nonlinear_term_streams_the_products(self):
-        """One nonlinear_term peaks below 3x the velocity samples' bytes (18.7 MB):
-        the six products (12.4 MB) and their transforms are never held at once."""
+        """One nonlinear_term peaks below 2x the velocity samples' bytes (12.4 MB): the
+        products are formed and analysed one at a time by blocks of x rows, and no
+        full-grid product or product stack is held."""
         grid = sp.default_grid(self.d)
         assert grid == (98, 98, 27)
         u = sv.make_initial(self.d, "q-perturbed", u_target=1.0, seed=501)
-        assert _traced_peak(lambda: sv.nonlinear_term(u)) < 3 * (3 * math.prod(grid) * 8)
+        assert _traced_peak(lambda: sv.nonlinear_term(u)) < 2 * (3 * math.prod(grid) * 8)
+
+    def test_etd_rk2_advance_peak(self):
+        """One etd-rk2 advance peaks below 16 MB: beside the stage values it holds one
+        streamed nonlinear evaluation at a time."""
+        u = sv.make_initial(self.d, "q-perturbed", u_target=1.0, seed=501)
+        stepper = sv._Stepper(self.d, 5e-4, "etd-rk2")
+        assert _traced_peak(lambda: stepper.advance(u.half, 0.0, None)) < 16e6
 
     def test_stepper_weights_per_distinct_z(self):
         """Building the etd-rk2 factors peaks below 10 MB: the contour integrands run on

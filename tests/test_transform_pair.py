@@ -104,7 +104,8 @@ def synthesis_dims(monkeypatch) -> list[int]:
     """Record the number of grid axes every synthesis transforms, as a tracer would.
 
     Each synthesis makes one c2c call over all but the last grid axis, so
-    that is its axis count plus one.
+    that is its axis count plus one.  A slab evaluation synthesizes its three
+    components in one call, a 3D evaluation one component per call.
     """
     dims = []
     inner = sp.ifftn
@@ -132,7 +133,7 @@ def test_planar_fields_take_the_slab_path(monkeypatch):
     assert tiny.coeffs[0, d.n1, d.n2, d.n3 + 1] == 5e-324
     dims.clear()
     sv.nonlinear_term(tiny)
-    assert dims == [3]
+    assert dims == [3] * 3
 
 
 def test_planar_data_with_3d_forcing_leaves_the_slab_path(monkeypatch):
@@ -145,19 +146,36 @@ def test_planar_data_with_3d_forcing_leaves_the_slab_path(monkeypatch):
     dims = synthesis_dims(monkeypatch)
     for _ in range(3):
         state = sv.step(state, forcing, cfg)
-    assert dims == [2, 3] + [3, 3] * 2
+    assert dims == [2] + [3] * 3 * 5
 
 
-def test_3d_nonlinear_term_calls_the_traced_transforms(monkeypatch):
-    """A 3D evaluation runs one c2c call each through spectral.ifftn and spectral.fftn.
-
-    perfbench's tracer counts FFTs by wrapping exactly these two names.
-    """
+def traced_c2c(monkeypatch) -> list[tuple[str, int]]:
+    """Record each c2c call made through spectral.ifftn and spectral.fftn, the two
+    names perfbench's tracer wraps, with the length of its leading axis."""
     calls = []
     for name in ("ifftn", "fftn"):
         inner = getattr(sp, name)
         monkeypatch.setattr(
-            sp, name, lambda x, *a, _n=name, _f=inner, **k: calls.append(_n) or _f(x, *a, **k)
+            sp,
+            name,
+            lambda x, *a, _n=name, _f=inner, **k: calls.append((_n, x.shape[0])) or _f(x, *a, **k),
         )
-    sv.nonlinear_term(velocity(DOMAINS[0]))
-    assert calls == ["ifftn", "fftn"]
+    return calls
+
+
+def test_3d_nonlinear_term_calls_the_traced_transforms(monkeypatch):
+    """A 3D evaluation runs every c2c call through spectral.ifftn and spectral.fftn:
+    one synthesis per velocity component, then one analysis per product."""
+    calls = traced_c2c(monkeypatch)
+    d = DOMAINS[0]
+    sv.nonlinear_term(velocity(d))
+    grid = sp.default_grid(d)
+    assert calls == [("ifftn", grid[0])] * 3 + [("fftn", 1)] * 6
+
+
+def test_planar_input_analyses_five_products(monkeypatch):
+    """The slab path analyses the five products its x and y derivatives read, in one
+    call: u2 u2 enters div(u u) only through d/dz, which vanishes on planar data."""
+    calls = traced_c2c(monkeypatch)
+    sv.nonlinear_term(velocity(DOMAINS[1], kind="z-independent"))
+    assert calls == [("ifftn", 3), ("fftn", 5)]
