@@ -9,13 +9,16 @@ Given positive constants for the differential-inequality system
 
 together with the Poincare-type hypotheses phi <= poincare_phi * phi_tilde,
 psi <= poincare_psi * psi_tilde, theta^2 <= poincare_energy (phi^2 + psi^2),
-solve_envelope integrates the scalar comparison equalities (tilde quantities
+solve_envelope solves the scalar comparison equalities (tilde quantities
 eliminated through the Poincare constants, the energy equation reduced the
-same way so the comparison is order-preserving) and evaluates the closed-form
-peak and tail bounds for psi.  In the 'full' regime the system carries the
-extra shear term (-shear_damping + shear_coupling sqrt(eps) (phi+psi)) chi^2;
-it is nonpositive while the guard shear_coupling sqrt(eps) (phi+psi) stays
-below shear_damping, which check_trajectory traces along a simulated run.
+same way so the comparison is order-preserving) in closed form, with no ODE
+solver: theta^2 and phi^2 are exponentials, and psi^2, linear once phi^2 is
+known, takes its integrating factor and a Gauss-Legendre source integral.
+It also evaluates the closed-form peak and tail bounds for psi.  In the
+'full' regime the system carries the extra shear term
+(-shear_damping + shear_coupling sqrt(eps) (phi+psi)) chi^2; it is
+nonpositive while the guard shear_coupling sqrt(eps) (phi+psi) stays below
+shear_damping, which check_trajectory traces along a simulated run.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .artifacts import record, write_csv
 from .diagnostics import DiagnosticSeries, InequalityReport, NumericalError
@@ -198,15 +200,111 @@ def _linear_envelope(a: float, b: float, x0: float, t: np.ndarray) -> np.ndarray
     return b / a + (x0 - b / a) * np.exp(-a * t)
 
 
+#: the 8-point Gauss-Legendre rule on [-1, 1], correctly rounded (written out, so the
+#: bits do not depend on the LAPACK build, as numpy's leggauss would): positive nodes, weights
+_GL_X = np.array([0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363])
+_GL_W = np.array([0.362683783378362, 0.31370664587788727, 0.22238103445337448,
+                  0.10122853629037626])
+#: the same rule on [0, 1], for the psi source integral
+_GL_NODES = np.concatenate((1.0 - _GL_X[::-1], 1.0 + _GL_X)) / 2.0
+_GL_WEIGHTS = np.concatenate((_GL_W[::-1], _GL_W)) / 2.0
+#: exponent parts below this size change no double and need no resolving
+_NEGLIGIBLE = 2.0**-60
+#: a damped interval is integrated only over its last _DAMPED_SPAN / |g| of time
+_DAMPED_SPAN = 60.0
+#: the most quadrature pieces one envelope may take
+_MAX_PIECES = 2**20
+#: quadrature pieces evaluated per numpy pass
+_PIECE_BLOCK = 2**12
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _psi_envelope(
+    lam: float, d: float, a: float, x0: float, s: float, times: np.ndarray
+) -> np.ndarray:
+    """psi^2 at times, from x' = g(t) x + s, x(0) = x0, with g(t) = lam + d e^{-a t}.
+
+    With G' = g, each step is x(t1) = e^{G(t1)-G(t0)} x(t0) + s I, where
+    I = int_{t0}^{t1} e^{G(t1)-G(tau)} dtau, and every exponent
+    G(t1) - G(tau) = lam h - d e^{-a tau} expm1(-a h) / a, h = t1 - tau, is
+    formed directly.  I is 8-point Gauss-Legendre on equal pieces of each
+    step on which |g| h <= 1 (and a h <= 1 while the e^{-a t} part of the
+    exponent is not negligible); where g < 0 on the whole step, the pieces
+    cover only its last _DAMPED_SPAN / min|g|, beyond which the integrand
+    is below e^-60 of its value at t1.
+    """
+    t = np.concatenate(([0.0], times))
+    t0, t1 = t[:-1], t[1:]
+    h = t1 - t0
+    if np.any(h < 0.0):
+        raise ValueError("envelope times must be nondecreasing and nonnegative")
+
+    def exponent(tau, span):
+        # G(tau + span) - G(tau)
+        return lam * span - d * np.exp(-a * tau) * np.expm1(-a * span) / a
+
+    log_growth = exponent(t0, h)
+    if x0 > 0.0 and math.log(x0) + float(np.max(np.cumsum(log_growth))) > 710.0:
+        # psi^2 >= U^2 e^{G}: no double holds it
+        raise NumericalError("psi envelope integration failed: the envelope overflows")
+    integral = np.zeros_like(h)
+    if s > 0.0:
+        # |g| <= rate on a step; g is monotone, so its sign on a step shows at the ends
+        phi_part = abs(d) * np.exp(-a * t0)
+        rate = abs(lam) + phi_part
+        rate = np.where(phi_part > _NEGLIGIBLE * a, np.maximum(rate, a), rate)
+        g_max = np.maximum(lam + d * np.exp(-a * t0), lam + d * np.exp(-a * t1))
+        damped = np.divide(_DAMPED_SPAN, -g_max, out=np.full_like(h, np.inf), where=g_max < 0.0)
+        span = np.minimum(h, damped)
+        pieces = np.maximum(1.0, np.ceil(rate * span))
+        if not np.all(np.isfinite(pieces)) or pieces.sum() > _MAX_PIECES:
+            raise NumericalError(
+                "psi envelope integration failed: the source integral needs more than "
+                f"{_MAX_PIECES} quadrature pieces"
+            )
+        pieces = pieces.astype(np.int64)
+        width = span / pieces
+        step = np.repeat(np.arange(len(h)), pieces)
+        first = np.cumsum(pieces) - pieces
+        for b in range(0, len(step), _PIECE_BLOCK):
+            n = step[b : b + _PIECE_BLOCK]
+            j = np.arange(b, b + len(n)) - first[n]
+            # nodes by their distance back from t1, so the damped exponent keeps its digits
+            back = (j[:, None] + _GL_NODES) * width[n, None]
+            vals = (np.exp(exponent(t1[n, None] - back, back)) * _GL_WEIGHTS).sum(axis=1) * width[n]
+            integral += np.bincount(n, weights=vals, minlength=len(h))
+    growth = np.exp(log_growth)
+    x = x0
+    psi_sq = np.empty_like(h)
+    for i, (e, v) in enumerate(zip(growth.tolist(), (s * integral).tolist())):
+        x = e * x + v
+        psi_sq[i] = x
+    if not np.all(np.isfinite(psi_sq)):
+        bad = float(times[int(np.argmin(np.isfinite(psi_sq)))])
+        raise NumericalError(
+            f"psi envelope integration failed: the envelope is not finite at t = {bad:.6g}"
+        )
+    return psi_sq
+
+
 def solve_envelope(
     sys: InequalitySystem, horizon: float, times: np.ndarray | None = None
 ) -> GronwallEnvelope:
-    """Integrate the comparison equalities and evaluate the closed bounds.
+    """Evaluate the comparison envelopes and the closed bounds.
 
-    phi^2 has the exponential closed form; psi^2 solves the linear scalar
-    ODE with the phi^2 envelope feeding its coupling term; theta^2 uses the
-    Gronwall reduction through the energy Poincare constant (the literal
-    coupled replacement is not order-preserving, see the module docstring).
+    phi^2 has the exponential closed form; theta^2 uses the Gronwall
+    reduction through the energy Poincare constant (the literal coupled
+    replacement is not order-preserving, see the module docstring).  psi^2
+    solves the linear scalar equation psi' = g(t) psi + s, psi(0) = U^2,
+    with g(t) = -a_psi + (psi_coupling / eps) phi^2(t) and s = psi_source F^2,
+    in closed form: with G' = g,
+
+        psi^2(t_{n+1}) = e^{G(t_{n+1}) - G(t_n)} psi^2(t_n)
+                         + s int_{t_n}^{t_{n+1}} e^{G(t_{n+1}) - G(tau)} dtau,
+
+    each exponent difference formed directly and the integral taken by
+    8-point Gauss-Legendre on pieces with |g| h <= 1 (_psi_envelope).  An
+    envelope that is not finite raises NumericalError (the command exits 4).
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -228,29 +326,11 @@ def solve_envelope(
 
     a_psi = sys.psi_damping / sys.poincare_psi**2
     cpl = sys.psi_coupling / sys.eps
-
-    def phi_env(t: float) -> float:
-        if a_phi <= 0.0:
-            return U2 + b_phi * t
-        return b_phi / a_phi + (U2 - b_phi / a_phi) * math.exp(-a_phi * t)
-
-    def rhs(t, y):
-        return (-a_psi + cpl * phi_env(t)) * y[0] + sys.psi_source * F2
-
-    scale = max(U2, F2, 1e-30)
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(times[-1])),
-        [U2],
-        t_eval=times,
-        rtol=1e-11,
-        atol=1e-14 * scale,
-        method="RK45",
-        max_step=max(float(times[-1]) / 64.0, 1e-12),
+    # phi^2(t) = b/a + (U^2 - b/a) e^{-a t}, so g(t) = lam + d e^{-a t}
+    phi_inf = b_phi / a_phi
+    psi_sq = _psi_envelope(
+        cpl * phi_inf - a_psi, cpl * (U2 - phi_inf), a_phi, U2, sys.psi_source * F2, times
     )
-    if not sol.success:
-        raise NumericalError(f"psi envelope integration failed: {sol.message}")
-    psi_sq = sol.y[0]
 
     # Closed-form peak/tail bounds traced through the standard chain
     # (cap phi and theta by their envelope levels, absorb the coupling term

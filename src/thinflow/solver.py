@@ -259,36 +259,46 @@ def _nonlinear_raw(
     components are synthesized one at a time, then the six products u_i u_j
     are analysed one by one in the order 00, 01, 11, 02, 12, 22 (each
     streamed by x rows, _product_halves) and added into the advection rows
-    as soon as they are ready; u_0 and u_1 are dropped after their last
-    product.  When every p > 0 coefficient is exactly zero, u is
+    as soon as they are ready, through one scratch half box; u_0 and u_1 are
+    dropped after their last product.  coeffs is dropped once synthesized,
+    before the result is allocated, so a stage value passed straight in is
+    freed then.  When every p > 0 coefficient is exactly zero, u is
     z-independent: both transforms then run on the p = 0 slab, the five
     products the x and y derivatives read in one call, and only that plane
     of the result is nonzero and projected.
     """
     n1, n2, n3 = spec.n1, spec.n2, spec.n3
     k1, k2, k3 = kvec_grids(spec)
-    out = np.zeros(coeffs.shape, dtype=np.complex128)
+    shape = coeffs.shape
     if not coeffs[..., 1:].any():
         # synthesize the n >= 0 half of the p = 0 plane; uu holds half boxes of one plane
         phys = _synth_half(coeffs[:, :, n2:, 0], grid[:2])
+        del coeffs
+        out = np.zeros(shape, dtype=np.complex128)
         pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
         uu = _mirror(_product_halves(phys, pairs, (n1, n2)), 2)[..., None]
         adv = out[..., :1]
         adv[...] = k1 * uu[:3] + k2 * uu[[1, 3, 4]]
     else:
-        adv = out
         u = [_synth_half(c, grid) for c in coeffs]
+        del coeffs
+        adv = out = np.zeros(shape, dtype=np.complex128)
+        # row 2 is the scratch until u0 u2 writes it; the scratch half box that
+        # replaces it is made after that product is gathered, off the gather's peak
+        tmp = adv[2]
         k = (k1, k2, k3[..., n3:])
         for j in range(3):
             for i in range(j + 1):
                 uij = _product_halves(u, ((i, j),), (n1, n2, n3))[0]
+                if j == 2 and i == 0:
+                    tmp = np.empty_like(uij)
                 # row j sums k_i u_i u_j over i = 0, 1, 2 left to right, as one expression would
                 if i == 0:
                     np.multiply(k[0], uij, out=adv[j])
                 else:
-                    adv[j] += k[i] * uij
+                    adv[j] += np.multiply(k[i], uij, out=tmp)
                 if i < j:
-                    adv[i] += k[j] * uij
+                    adv[i] += np.multiply(k[j], uij, out=tmp)
                 # free the product, and u_i after its last one, before the next
                 del uij
                 if j == 2:
@@ -349,30 +359,33 @@ class _Stepper:
         else:  # pragma: no cover - guarded by SolverConfig
             raise ValueError(scheme)
 
-    def nonlinear(self, coeffs: np.ndarray, t: float, forcing: ForcingSpec | None) -> np.ndarray:
-        f_raw = forcing._raw(t) if forcing is not None else None
-        return _nonlinear_raw(coeffs, self.spec, self.grid, f_raw)
-
     def advance(self, coeffs: np.ndarray, t: float, forcing: ForcingSpec | None) -> np.ndarray:
-        dt = self.dt
+        """coeffs advanced by dt.  Each stage value goes straight into _nonlinear_raw,
+        which frees it once synthesized; an update that needs it again re-forms it
+        with the same operations, so the bits are those of keeping it."""
+        dt, spec, grid = self.dt, self.spec, self.grid
+
+        def f(s: float) -> np.ndarray | None:
+            return forcing._raw(s) if forcing is not None else None
+
         if self.scheme == "etd-rk2":
-            n0 = self.nonlinear(coeffs, t, forcing)
-            mid = self.E * coeffs + self.p1 * n0
-            n1 = self.nonlinear(mid, t + dt, forcing)
-            out = mid + self.p2 * (n1 - n0)
+            n0 = _nonlinear_raw(coeffs, spec, grid, f(t))
+            n1 = _nonlinear_raw(self.E * coeffs + self.p1 * n0, spec, grid, f(t + dt))
+            out = (self.E * coeffs + self.p1 * n0) + self.p2 * (n1 - n0)
         elif self.scheme == "etd-rk4":
-            n0 = self.nonlinear(coeffs, t, forcing)
-            a = self.E2 * coeffs + self.Q * n0
-            na = self.nonlinear(a, t + dt / 2, forcing)
-            b = self.E2 * coeffs + self.Q * na
-            nb = self.nonlinear(b, t + dt / 2, forcing)
-            c = self.E2 * a + self.Q * (2.0 * nb - n0)
-            nc = self.nonlinear(c, t + dt, forcing)
+            n0 = _nonlinear_raw(coeffs, spec, grid, f(t))
+            na = _nonlinear_raw(self.E2 * coeffs + self.Q * n0, spec, grid, f(t + dt / 2))
+            nb = _nonlinear_raw(self.E2 * coeffs + self.Q * na, spec, grid, f(t + dt / 2))
+            nc = _nonlinear_raw(
+                self.E2 * (self.E2 * coeffs + self.Q * n0) + self.Q * (2.0 * nb - n0),
+                spec, grid, f(t + dt),
+            )
             out = self.E * coeffs + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
         else:  # imex-cn with explicit trapezoid for the nonlinearity
-            n0 = self.nonlinear(coeffs, t, forcing)
-            pred = self.cn_den * (self.cn_num * coeffs + dt * n0)
-            n1 = self.nonlinear(pred, t + dt, forcing)
+            n0 = _nonlinear_raw(coeffs, spec, grid, f(t))
+            n1 = _nonlinear_raw(
+                self.cn_den * (self.cn_num * coeffs + dt * n0), spec, grid, f(t + dt)
+            )
             out = self.cn_den * (self.cn_num * coeffs + 0.5 * dt * (n0 + n1))
         return out
 

@@ -375,6 +375,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "th" / "thresholds.csv").exists()
 
+    def test_import_leaves_out_the_ode_solvers(self):
+        """Importing the command loads no scipy.integrate: the envelopes are closed forms."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, thinflow.cli; assert 'scipy.integrate' not in sys.modules"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestInputAndNumericalErrors:
     @pytest.fixture

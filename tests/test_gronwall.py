@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,14 +66,55 @@ class TestSystemValidation:
 
 class TestEnvelope:
     def test_scalar_comparison_matches_closed_form(self):
-        """x' = -a x + b integrates to the textbook exponential."""
-        sys0 = base_system(psi_coupling=1e-12, U=1.0, F=0.5,
+        """x' = -a x + b integrates to the textbook exponential (the coupling, 8e-30,
+        moves psi^2 by far less than roundoff)."""
+        sys0 = base_system(psi_coupling=1e-30, U=1.0, F=0.5,
                            poincare_phi=1.0, poincare_psi=1.0, poincare_energy=1.0)
         env = gw.solve_envelope(sys0, horizon=3.0)
         a, b = 1.0, 0.25
         exact = b / a + (1.0 - b / a) * np.exp(-a * env.times)
         np.testing.assert_allclose(env.phi_sq, exact, rtol=1e-12)
-        np.testing.assert_allclose(env.psi_sq, exact, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(env.psi_sq, exact, rtol=1e-13, atol=0)
+
+    def test_unforced_psi_is_the_integrating_factor(self):
+        """With F = 0, psi^2 = U^2 e^{G(t)}, G the integral of -a_psi + (c/eps) phi^2."""
+        sys0 = base_system(F=0.0, psi_coupling=3.0)
+        env = gw.solve_envelope(sys0, horizon=10.0)
+        a_phi = sys0.phi_damping / sys0.poincare_phi**2
+        a_psi = sys0.psi_damping / sys0.poincare_psi**2
+        cpl = sys0.psi_coupling / sys0.eps
+        t = env.times
+        G = -a_psi * t - cpl * sys0.U**2 * np.expm1(-a_phi * t) / a_phi
+        np.testing.assert_allclose(env.psi_sq, sys0.U**2 * np.exp(G), rtol=1e-12, atol=0)
+
+    def test_stiff_forced_psi_matches_a_finer_quadrature(self):
+        """psi_damping = 100 gives |g| h near 80 on the default 513-point grid; the
+        envelope matches a Gauss-Legendre sum over whole steps with 4x its pieces."""
+        sys0 = base_system(psi_damping=100.0, psi_coupling=2.0, U=0.3, F=0.2)
+        env = gw.solve_envelope(sys0, horizon=10.0)
+        a = sys0.phi_damping / sys0.poincare_phi**2
+        cpl = sys0.psi_coupling / sys0.eps
+        phi_inf = sys0.phi_source * sys0.F**2 / a
+        lam = cpl * phi_inf - sys0.psi_damping / sys0.poincare_psi**2
+        d = cpl * (sys0.U**2 - phi_inf)
+        s = sys0.psi_source * sys0.F**2
+
+        def rise(tau, span):  # G(tau + span) - G(tau)
+            return lam * span - d * np.exp(-a * tau) * np.expm1(-a * span) / a
+
+        x, w = np.polynomial.legendre.leggauss(8)
+        x, w = (x + 1.0) / 2.0, w / 2.0
+        t = env.times
+        ref = [sys0.U**2]
+        for t0, t1 in zip(t[:-1], t[1:]):
+            h = t1 - t0
+            g_max = abs(lam) + abs(d) * np.exp(-a * t0)
+            assert g_max * h > 50.0
+            m = 4 * math.ceil(max(g_max, a) * h)
+            back = (np.arange(m)[:, None] + x) * (h / m)
+            integral = (np.exp(rise(t1 - back, back)) @ w).sum() * (h / m)
+            ref.append(np.exp(rise(t0, h)) * ref[-1] + s * integral)
+        np.testing.assert_allclose(env.psi_sq, ref, rtol=1e-13, atol=0)
 
     def test_equal_data_and_forcing_gives_flat_phi(self):
         # with U = F and matched source the exponential term has zero weight
@@ -118,11 +158,12 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="horizon"):
             gw.solve_envelope(base_system(), horizon=0.0)
 
-    def test_integration_failure_is_numerical_error(self, monkeypatch):
-        failed = SimpleNamespace(success=False, message="step size underflow")
-        monkeypatch.setattr(gw, "solve_ivp", lambda *args, **kwargs: failed)
-        with pytest.raises(dg.NumericalError, match="psi envelope integration failed"):
-            gw.solve_envelope(base_system(), horizon=1.0)
+    def test_integration_failure_is_numerical_error(self):
+        """A coupling of 1e6 / eps grows psi^2 past every double within the horizon,
+        from U > 0 and, through the source alone, from U = 0."""
+        for U in (0.1, 0.0):
+            with pytest.raises(dg.NumericalError, match="psi envelope integration failed"):
+                gw.solve_envelope(base_system(psi_coupling=1e6, U=U), horizon=50.0)
 
 
 class TestContainment:
