@@ -9,15 +9,15 @@ thinflow.artifacts) plus a manifest.json carrying the resolved config, its
 hash, package versions and wall time.  Each command takes the config and the
 output directory and returns its exit code and artifact names; main writes
 the manifest.  All randomness flows from the single ``seed`` key, so identical
-config and seed reproduce identical CSV/JSON artifact bytes (manifests carry
-wall time and are exempt).  The default output root is the THINFLOW_OUT_ROOT
-environment variable, falling back to ./thinflow-out.
+config and seed reproduce identical CSV/JSON artifact bytes on one BLAS kernel
+(manifests carry wall time and are exempt).  The default output root is the
+THINFLOW_OUT_ROOT environment variable, falling back to ./thinflow-out.
 
-Exit codes: 0 success, 2 invalid configuration or input (line-anchored
-message), 3 simulation blow-up (forensic dump written to blowup.json),
-4 numerical failure (a constant-fit LP or the envelope ODE did not converge),
-5 a simulate checkpoint could not be written (the run's other artifacts are
-kept).
+Exit codes: 0 success, 1 verification found failing inequalities, 2 invalid
+configuration or input (line-anchored message), 3 simulation blow-up
+(forensic dump written to blowup.json), 4 numerical failure (a constant-fit
+LP failed, or the psi^2 envelope is not finite), 5 a simulate checkpoint
+could not be written (the run's other artifacts are kept).
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class ConfigError(Exception):
 def parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
@@ -115,7 +116,10 @@ def _out_dir(cfg: dict, scenario: str) -> str:
     root = cfg.get("out")
     if root is None:
         root = os.path.join(os.environ.get("THINFLOW_OUT_ROOT", "thinflow-out"), scenario)
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return root
 
 

@@ -335,7 +335,7 @@ def _inequality_defs(series: DiagnosticSeries, eps: float, regime: str):
 
 
 class NumericalError(RuntimeError):
-    """A numerical method failed to reach a result: a constant-fit LP or an envelope ODE solve."""
+    """A numerical method failed: a constant-fit LP, or a psi^2 envelope that is not finite."""
 
 
 def _fit_chebyshev(

@@ -26,12 +26,13 @@ and eps^(1/4) (L4 case); fit_eps_scaling turns a sweep of estimates into a
 log-log slope.  The sup norm is approximated on a 4x oversampled grid
 (documented approximation: the sup of a band-limited function is read off
 dense samples); the L4 norms use exact quadrature of the quartic.  Both
-grid norms reduce |u|^2 block by block of grid columns (_grid_mag2_blocks):
-the x pass of each nonzero velocity component's p >= 0 planes runs once, on
-the occupied y columns only, and each block runs the y pass on the x rows it
-spans and the z synthesis as one small real matrix product, so neither the
-full 3D grid nor a horizontal slab is held.  The 3D random trials are drawn
-in one component, and the thin profiles are built on the p >= 0 half box.
+grid norms reduce |u|^2 by blocks of whole x rows, under the nonlinear
+term's block budget (_grid_mag2_blocks, spectral._block_rows): the x pass
+of each nonzero component's p >= 0 planes runs once, on the occupied y
+columns only, and each block runs the y pass on its rows and the z
+synthesis as one small real matrix product, so neither the full 3D grid nor
+a horizontal slab is held.  The 3D random trials are drawn in one
+component, and the thin profiles are built on the p >= 0 half box.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .spectral import (
     norm_l2,
     poincare_constant,
     _checked_hermitian,
+    _block_rows,
     _box_sum,
     _half_shape,
     _hermitian_half,
@@ -102,7 +104,7 @@ class Field2D:
     __slots__ = ("l1", "l2", "n1", "n2", "half")
 
     def __init__(self, l1: float, l2: float, n1: int, n2: int, coeffs: np.ndarray):
-        half = _checked_hermitian(coeffs, (2 * n1 + 1, 2 * n2 + 1), 2, lo=n2)
+        half = _checked_hermitian(coeffs, (2 * n1 + 1, 2 * n2 + 1), 2)
         for name, value in zip(self.__slots__, (float(l1), float(l2), int(n1), int(n2), half)):
             object.__setattr__(self, name, value)
 
@@ -208,31 +210,27 @@ def dyadic_decompose(f: Field2D) -> DyadicProfile:
 # Ratio evaluation.
 # ---------------------------------------------------------------------------
 
-#: grid columns (xy points) per block of the blocked |u|^2 reduction
-_BLOCK = 4096
-
-
 def _grid_mag2_blocks(u: SpectralField, grid: tuple[int, int, int]):
-    """Yield |u|^2 on the periodic (gx, gy, gz) grid, one (gz, <= _BLOCK) block
-    of the (gz, gx * gy) array at a time, in column order.
+    """Yield |u|^2 on the periodic (gx, gy, gz) grid, one (gz, rows * gy) block of
+    whole x rows of the (gz, gx * gy) array at a time, in row order, as many rows
+    as fit in spectral._BLOCK_BYTES (_block_rows).
 
     The p < 0 slabs are the conjugate mirrors of the p >= 0 ones, so
     w(., ., z) = W_0 + 2 Re sum_{p>0} W_p e^(2 pi i p z / eps), where W_p is
     the horizontal synthesis of plane p.  Per nonzero component the x pass
     runs once, on the M2 occupied y columns only, into an (n3 + 1, gx, M2)
-    array.  Each block of columns then runs the y pass on the x rows it
-    spans, embedded in one small reused buffer; a row that a block boundary
-    splits keeps its y pass for the next block.  Every y line is the same
-    transform as in a two-axis ifft2 over the whole slab, whose x pass would
-    only turn gy - M2 columns of exact zeros into exact zeros.  The z
-    synthesis of the block is one real matrix product of cos / -sin weights
-    with the stacked real and imaginary parts of W_p there, squared and
-    summed over the components in component order; every element is the
-    same dot product as in a product over all columns at once, so the
-    samples do not depend on the blocking.  Components that are identically
-    zero are skipped, and neither the grid nor a horizontal (n3 + 1, gx, gy)
-    slab is held.  A field with no nonzero component yields a single zero
-    sample.  The yielded block is reused: consume it before the next.
+    array.  Each block runs the y pass on its rows, once each, in one reused
+    (n3 + 1, rows, gy) buffer.  Every y line is the same transform as in a
+    two-axis ifft2 over the whole slab, whose x pass would only turn gy - M2
+    columns of exact zeros into exact zeros.  The z synthesis of the block is
+    one real matrix product of cos / -sin weights with the stacked real and
+    imaginary parts of W_p there, squared and summed over the components in
+    component order; every element is the same dot product as in a product
+    over all columns at once, so the samples do not depend on the blocking.
+    Components that are identically zero are skipped, and neither the grid
+    nor a horizontal (n3 + 1, gx, gy) slab is held.  A field with no nonzero
+    component yields a single zero sample.  The yielded block is reused:
+    consume it before the next.
     """
     gx, gy, gz = grid
     n1, n2, n_pos = u.domain.n1, u.domain.n2, u.domain.n3 + 1
@@ -250,33 +248,23 @@ def _grid_mag2_blocks(u: SpectralField, grid: tuple[int, int, int]):
     theta = 2.0 * np.pi * np.outer(np.arange(gz), np.arange(n_pos)) / gz
     weight = np.where(np.arange(n_pos) == 0, 1.0, 2.0)
     synth = np.hstack([weight * np.cos(theta), -weight * np.sin(theta)])
-    points = gx * gy
-    spans = [(start, min(start + _BLOCK, points)) for start in range(0, points, _BLOCK)]
+    rows = min(_block_rows(8 * gy * gz), gx)
     y_bins = np.arange(-n2, n2 + 1) % gy
-    # the y pass of the x rows r0 .. r1 - 1 that columns start .. stop - 1 span
-    rows = np.empty((n_pos, max(-(-stop // gy) - start // gy for start, stop in spans), gy),
-                    dtype=np.complex128)
-    # each component's last y-passed row, reused by the next block when a boundary splits it
-    carried = np.empty((len(x_passes), n_pos, gy), dtype=np.complex128)
+    buf = np.empty((n_pos, rows, gy), dtype=np.complex128)
     stack = None
-    for start, stop in spans:
-        width = stop - start
+    for r0 in range(0, gx, rows):
+        r1 = min(r0 + rows, gx)
+        width = (r1 - r0) * gy
         if stack is None or stack.shape[1] != width:  # the first, or the partial last block
             stack = np.empty((2 * n_pos, width))
             mag2 = np.empty((gz, width))
             w = np.empty_like(mag2)
-        r0, r1 = start // gy, -(-stop // gy)
-        split = int(start % gy != 0)  # 1 when the previous block ended inside row r0
+        block = buf[:, : r1 - r0]
         for i, x_pass in enumerate(x_passes):
-            buf = rows[:, : r1 - r0]
-            if split:
-                buf[:, 0] = carried[i]
-            new = buf[:, split:]
-            new.fill(0.0)
-            new[:, :, y_bins] = x_pass[:, r0 + split : r1]
-            new[...] = ifft2(new, axes=(-1,), norm="forward", workers=1, overwrite_x=True)
-            carried[i] = buf[:, -1]
-            plane = buf.reshape(n_pos, -1)[:, start - r0 * gy : stop - r0 * gy]
+            block.fill(0.0)
+            block[:, :, y_bins] = x_pass[:, r0:r1]
+            block[...] = ifft2(block, axes=(-1,), norm="forward", workers=1, overwrite_x=True)
+            plane = block.reshape(n_pos, width)
             np.copyto(stack[:n_pos], plane.real)
             np.copyto(stack[n_pos:], plane.imag)
             out = np.matmul(synth, stack, out=mag2 if i == 0 else w)

@@ -15,10 +15,11 @@ nonlinear evaluation synthesizes the three velocity components one at a
 time and analyses the six products one at a time, each a real transform
 along z plus a c2c transform over (x, y) of the n3 + 1 planes p >= 0.  A
 product is formed and transformed along z block by block of x rows, at
-most _BLOCK_BYTES of samples per block (24 of 98 rows at (32,32,8); small
-grids take one block), into one plane stack that a single c2c call then
-finishes.  Each product is added into the advection rows as soon as it is
-ready, so neither a full-grid product nor a stack of products is held.
+most spectral._BLOCK_BYTES of samples per block, the grid norms' budget too
+(24 of 98 rows at (32,32,8); small grids take one block), into one plane
+stack that a single c2c call then finishes.  Each product is added into the
+advection rows as soon as it is ready, so neither a full-grid product nor a
+stack of products is held.
 
 A step works on the field's stored p >= 0 half box throughout: the linear
 factors are built there, and advection, the Leray projection and the stage
@@ -64,6 +65,7 @@ from .spectral import (
     random_field,
     save_checkpoint,
     to_spectral,
+    _block_rows,
     _box_sum,
     _c2c_half,
     _leray_raw,
@@ -219,24 +221,20 @@ class BlowUpError(RuntimeError):
         self.report = report
 
 
-#: bytes of product samples formed per r2c call: larger grids stream through in blocks of x rows
-_BLOCK_BYTES = 2**19
-
-
 def _product_halves(
     u: list | np.ndarray, pairs: tuple[tuple[int, int], ...], modes: tuple[int, ...]
 ) -> np.ndarray:
     """Half boxes of the products u[i] u[j] of velocity samples for the given pairs.
 
     The products are formed block by block of x rows, as many rows as fit
-    in _BLOCK_BYTES (at least one) for all pairs at once, into one reused
-    buffer; each block's r2c pass writes its rows of one plane stack, which
-    one c2c call then finishes.  Every transform line is independent of the
-    others, so the result is the same bits as one _analyze_half call on the
-    whole products.
+    in spectral._BLOCK_BYTES for all pairs at once (_block_rows), into one
+    reused buffer; each block's r2c pass writes its rows of one plane stack,
+    which one c2c call then finishes.  Every transform line is independent
+    of the others, so the result is the same bits as one _analyze_half call
+    on the whole products.
     """
     grid = u[pairs[0][0]].shape
-    rows = max(1, _BLOCK_BYTES // (8 * len(pairs) * math.prod(grid[1:])))
+    rows = _block_rows(8 * len(pairs) * math.prod(grid[1:]))
     buf = np.empty((len(pairs), min(rows, grid[0])) + grid[1:])
     planes = np.empty((len(pairs),) + grid[:-1] + (modes[-1] + 1,), dtype=np.complex128)
     for a in range(0, grid[0], rows):

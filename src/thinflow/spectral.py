@@ -17,8 +17,8 @@ the same way, as the n >= 0 half (2 n1 + 1, n2 + 1) of its (m, n) slab.
 
 Only coefficients from outside (a SpectralField or planar Field2D built from
 a user array, or a checkpoint) pass the checked construction, because silent
-drift would make fields complex: one symmetrizer, (c + conj(flip c)) / 2 over
-the mode axes, with a finiteness and defect check, one component at a time.
+drift would make fields complex: one symmetrizer forms the stored half of
+(c + conj(flip c)) / 2 and checks finiteness and defect on it, per component.
 Internal code (transforms, steps, rescaling, trials, random fields) builds
 exactly Hermitian half boxes and wraps them unchecked.  Synthesis
 embeds its n3 + 1 planes in a zeroed c2r input of the z grid's full size,
@@ -185,30 +185,30 @@ def _hermitian_half(raw: np.ndarray, nd: int) -> np.ndarray:
     return 0.5 * (raw[..., n:] + np.conj(np.flip(raw[..., : n + 1], axis=tuple(range(-nd, 0)))))
 
 
-def _checked_hermitian(coeffs, shape: tuple[int, ...], nd: int, lo: int = 0) -> np.ndarray:
-    """Read-only symmetrization, zero mode pinned, of finite outside input of the given shape,
-    which must be Hermitian over its last nd axes to a relative defect of _HERMITIAN_TOL.
+def _checked_hermitian(coeffs, shape: tuple[int, ...], nd: int) -> np.ndarray:
+    """Read-only symmetrized half (last axis n >= 0, zero mode pinned) of finite outside input
+    of the given shape, Hermitian over its last nd axes to a relative defect of _HERMITIAN_TOL.
 
-    Returns the last axis from index lo on (lo = n3 keeps a field's p >= 0 half).
-    The leading axes are worked one component at a time, so beside the input
-    and the result only one component's temporaries are held; the defect and
-    its scale are still maxima over all components.
+    Each component's half is formed directly (_hermitian_half), so only one
+    component's half-size temporaries are held.  The scale |sym| and the
+    defect |c - sym| are even under k -> -k, so their maxima over all
+    components' halves are those over the whole input.
     """
     arr = np.asarray(coeffs, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"coefficient shape {arr.shape} does not match {shape}")
     mode_shape = shape[-nd:]
-    out = np.empty(shape[:-1] + (shape[-1] - lo,), dtype=np.complex128)
-    zero_mode = tuple(m // 2 for m in mode_shape)
+    n = shape[-1] // 2
+    out = np.empty(shape[:-1] + (n + 1,), dtype=np.complex128)
+    zero_mode = tuple(m // 2 for m in mode_shape[:-1]) + (0,)
     scale = defect = 0.0
     for comp, kept in zip(arr.reshape((-1,) + mode_shape), out.reshape((-1,) + out.shape[-nd:])):
         if not np.all(np.isfinite(comp)):
             raise ValueError("coefficients must be finite (no NaN or inf)")
-        sym = _symmetrize(comp, nd)
-        scale = max(scale, float(np.max(np.abs(sym))))
-        defect = max(defect, float(np.max(np.abs(comp - sym))))
-        sym[zero_mode] = 0.0
-        kept[...] = sym[..., lo:]
+        kept[...] = _hermitian_half(comp, nd)
+        scale = max(scale, float(np.max(np.abs(kept))))
+        defect = max(defect, float(np.max(np.abs(comp[..., n:] - kept))))
+        kept[zero_mode] = 0.0
     if defect > _HERMITIAN_TOL * max(scale, 1e-300):
         raise ValueError(
             f"coefficients are not Hermitian (relative defect {defect / max(scale, 1e-300):.3e}); "
@@ -239,7 +239,7 @@ class SpectralField:
     __slots__ = ("domain", "half")
 
     def __init__(self, domain: DomainSpec, coeffs: np.ndarray):
-        half = _checked_hermitian(coeffs, (3,) + domain.shape, 3, lo=domain.n3)
+        half = _checked_hermitian(coeffs, (3,) + domain.shape, 3)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "half", half)
 
@@ -394,6 +394,15 @@ def _analyze_half(samples: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
     planes = np.empty(samples.shape[:-1] + (modes[-1] + 1,), dtype=np.complex128)
     _r2c_planes(samples, planes, math.prod(samples.shape[-nd:]))
     return _c2c_half(planes, modes)
+
+
+#: bytes of samples per block of every pass streamed by whole x rows (_block_rows)
+_BLOCK_BYTES = 2**19
+
+
+def _block_rows(row_bytes: int) -> int:
+    """x rows per streamed block: as many rows of row_bytes as fit in _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _r2c_planes(samples: np.ndarray, out: np.ndarray, count: int) -> None:

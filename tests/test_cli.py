@@ -101,6 +101,20 @@ class TestConfigParsing:
         assert "'dealias' was removed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("how", ["--out", "out key"])
+    def test_output_path_that_is_a_file_is_config_error(self, planar_cfg, tmp_path, capsys, how):
+        """An existing regular file as the output directory exits 2 with one error line
+        (1 is verify-inequalities' failing verdict) and leaves the file as it was."""
+        target = tmp_path / "taken"
+        target.write_text("keep\n")
+        where = ["--out", str(target)] if how == "--out" else ["--set", f"out={target}"]
+        rc = run_cli(["simulate", "-c", planar_cfg, *where])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot create output directory:")
+        assert target.read_text() == "keep\n"
+
 class TestSimulate:
     def test_artifacts_and_planar_closure(self, planar_cfg, tmp_path):
         out = tmp_path / "run"

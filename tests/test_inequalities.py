@@ -57,35 +57,36 @@ def _dense_samples(f, grid):
     return out
 
 
-def _slab_reference_blocks(u, grid):
-    """The blocked |u|^2 reduction written over whole slabs: each nonzero
+def _slab_reference(u, grid):
+    """|u|^2 on the grid as one unblocked (gz, gx * gy) array: each nonzero
     component's p >= 0 planes on the (gx, gy) grid by one two-axis ifft2, then
-    the cos / -sin z matmul on each (gz, <= _BLOCK) block of columns."""
+    one cos / -sin z matmul over all columns."""
     gx, gy, gz = grid
     d = u.domain
     n_pos = d.n3 + 1
     index = (slice(None),) + np.ix_(
         np.arange(-d.n1, d.n1 + 1) % gx, np.arange(-d.n2, d.n2 + 1) % gy
     )
-    planes = []
-    for comp in u.half:
-        if comp.any():
-            slab = np.zeros((n_pos, gx, gy), dtype=complex)
-            slab[index] = np.moveaxis(comp, -1, 0)
-            planes.append(ifft2(slab, norm="forward").reshape(n_pos, gx * gy))
-    if not planes:
-        yield np.zeros((1, 1))
-        return
     theta = 2.0 * np.pi * np.outer(np.arange(gz), np.arange(n_pos)) / gz
     weight = np.where(np.arange(n_pos) == 0, 1.0, 2.0)
     synth = np.hstack([weight * np.cos(theta), -weight * np.sin(theta)])
-    for start in range(0, gx * gy, iq._BLOCK):
-        cols = slice(start, min(start + iq._BLOCK, gx * gy))
-        mag2 = None
-        for plane in planes:
-            sq = np.square(synth @ np.vstack([plane.real[:, cols], plane.imag[:, cols]]))
-            mag2 = sq if mag2 is None else mag2 + sq
-        yield mag2
+    mag2 = np.zeros((1, 1))
+    for i, comp in enumerate(c for c in u.half if c.any()):
+        slab = np.zeros((n_pos, gx, gy), dtype=complex)
+        slab[index] = np.moveaxis(comp, -1, 0)
+        plane = ifft2(slab, norm="forward").reshape(n_pos, gx * gy)
+        sq = np.square(synth @ np.vstack([plane.real, plane.imag]))
+        mag2 = sq if i == 0 else mag2 + sq
+    return mag2
+
+
+def _budgets(grid):
+    """Block budgets (spectral._BLOCK_BYTES) for the grid: the default, one block,
+    one x row per block, and k >= 3 rows per block with a partial last block."""
+    gx, gy, gz = grid
+    row_bytes = 8 * gy * gz
+    k = next(k for k in range(3, gx) if gx % k)
+    return [sp._BLOCK_BYTES, gx * row_bytes, 1, k * row_bytes]
 
 
 class TestField2D:
@@ -309,14 +310,15 @@ class TestEstimators:
         assert value == pytest.approx(direct, rel=1e-12)
 
     def test_block_box_spans_partial_last_block(self):
-        """Both grids of the last norm box hold several full blocks and a partial one."""
+        """Under the default budget both grids of the last norm box hold more than one
+        block of whole x rows, the last one partial."""
         l1, l2, n1, n2, n3, oversample = _NORM_BOXES[-1]
         d = sp.DomainSpec(l1=l1, l2=l2, eps=0.125, nu=1.0, n1=n1, n2=n2, n3=n3)
-        sup_grid = iq._oversampled_grid(d, oversample)
-        quartic_grid = (next_fast_len(4 * n1 + 2), next_fast_len(4 * n2 + 2))
-        for gx, gy in (sup_grid[:2], quartic_grid):
-            assert gx * gy > 2 * iq._BLOCK
-            assert gx * gy % iq._BLOCK != 0
+        quartic_grid = (next_fast_len(4 * n1 + 2), next_fast_len(4 * n2 + 2), 4 * n3 + 2)
+        for gx, gy, gz in (iq._oversampled_grid(d, oversample), quartic_grid):
+            rows = sp._block_rows(8 * gy * gz)
+            assert gx > rows
+            assert gx % rows != 0
 
     def test_sup_norm_never_holds_the_grid(self):
         """One sup_norm at (64,64,2), a 525x525x20 grid, peaks below one (gz, gx * gy)
@@ -355,25 +357,34 @@ class TestEstimators:
 
     @pytest.mark.parametrize("components", _COMPONENTS, ids=_COMPONENT_IDS)
     @pytest.mark.parametrize("box", _NORM_BOXES, ids=_NORM_BOX_IDS)
-    def test_grid_norms_equal_the_slab_reference(self, rng, box, components):
-        """sup_norm and lp_norm equal, bit for bit, the same reductions over
-        one-shot two-axis slab syntheses blocked the same way."""
+    def test_grid_norms_equal_the_slab_reference(self, rng, box, components, monkeypatch):
+        """Under every budget of _budgets the |u|^2 samples, concatenated over the
+        blocks, equal the unblocked slab reference bit for bit, so they do not depend on
+        the blocking; sup_norm and lp_norm equal the reductions of that reference,
+        lp_norm's sum taken over the same blocks of rows."""
         f, oversample = _norm_field(rng, box, components)
         d = f.domain
         sup_grid = iq._oversampled_grid(d, oversample)
-        ref = np.sqrt(max(np.max(b) for b in _slab_reference_blocks(f, sup_grid)))
-        assert np.array_equal(iq.sup_norm(f, oversample), ref)
         quartic_grid = (next_fast_len(4 * d.n1 + 2), next_fast_len(4 * d.n2 + 2), 4 * d.n3 + 2)
         for p, grid in ((4.0, quartic_grid), (3.0, sup_grid)):
-            total = 0.0
-            for block in _slab_reference_blocks(f, grid):
-                total += float(np.sum(np.power(block, p / 2.0)))
-            ref = (d.volume * (total / np.prod(grid))) ** (1.0 / p)
-            assert np.array_equal(iq.lp_norm(f, p, oversample), ref)
+            gx, gy, gz = grid
+            ref = _slab_reference(f, grid)
+            for budget in _budgets(grid):
+                monkeypatch.setattr(sp, "_BLOCK_BYTES", budget)
+                samples = np.hstack([b.copy() for b in iq._grid_mag2_blocks(f, grid)])
+                assert np.array_equal(samples, ref), budget
+                step = min(max(1, budget // (8 * gy * gz)), gx) * gy
+                total = 0.0
+                for start in range(0, gx * gy, step):
+                    total += float(np.sum(np.power(ref[:, start : start + step], p / 2.0)))
+                want = (d.volume * (total / np.prod(grid))) ** (1.0 / p)
+                assert np.array_equal(iq.lp_norm(f, p, oversample), want), budget
+                if grid is sup_grid:
+                    assert np.array_equal(iq.sup_norm(f, oversample), np.sqrt(np.max(ref)))
 
-    def test_split_rows_transformed_once(self, rng, monkeypatch):
-        """Each x row runs its y pass once per nonzero component, also where a block
-        boundary splits it: n3 + 1 planes times gx rows."""
+    def test_each_row_transformed_once(self, rng, monkeypatch):
+        """Each x row runs its y pass once per nonzero component under every budget of
+        _budgets: n3 + 1 planes times gx rows."""
         ifft2_calls = iq.ifft2
         rows = []
 
@@ -386,12 +397,14 @@ class TestEstimators:
         f, oversample = _norm_field(rng, _NORM_BOXES[-1], (0, 2))
         d = f.domain
         sup_grid = iq._oversampled_grid(d, oversample)
-        quartic_grid = (next_fast_len(4 * d.n1 + 2), next_fast_len(4 * d.n2 + 2))
-        for norm, gx in ((lambda: iq.sup_norm(f, oversample), sup_grid[0]),
-                         (lambda: iq.lp_norm(f, 4.0), quartic_grid[0])):
-            rows.clear()
-            norm()
-            assert sum(rows) == 2 * (d.n3 + 1) * gx
+        quartic_grid = (next_fast_len(4 * d.n1 + 2), next_fast_len(4 * d.n2 + 2), 4 * d.n3 + 2)
+        for norm, grid in ((lambda: iq.sup_norm(f, oversample), sup_grid),
+                           (lambda: iq.lp_norm(f, 4.0), quartic_grid)):
+            for budget in _budgets(grid):
+                monkeypatch.setattr(sp, "_BLOCK_BYTES", budget)
+                rows.clear()
+                norm()
+                assert sum(rows) == 2 * (d.n3 + 1) * grid[0], budget
 
     def test_planar_estimate_checks_no_trial(self, monkeypatch):
         """The planar-l4 trials and ascent candidates are exactly Hermitian by

@@ -193,7 +193,7 @@ def test_streamed_products_equal_one_analysis(monkeypatch, box, kind, per_call, 
         seen.clear()
         got = []
         for group in groups:
-            monkeypatch.setattr(sv, "_BLOCK_BYTES", rows * len(group) * row_bytes)
+            monkeypatch.setattr(sp, "_BLOCK_BYTES", rows * len(group) * row_bytes)
             got.append(sv._product_halves(phys, group, modes))
         assert np.array_equal(np.concatenate(got), ref), rows
         blocks = [min(rows, grid[0] - a) for a in range(0, grid[0], rows)]
@@ -221,7 +221,7 @@ def test_streamed_nonlinear_term_equals_one_analysis(monkeypatch, box, kind):
     inner = sv._r2c_planes
     monkeypatch.setattr(sv, "_r2c_planes", lambda s, o, c: seen.append(s.shape[:2]) or inner(s, o, c))
     for rows in (1, 3, grid[0]):
-        monkeypatch.setattr(sv, "_BLOCK_BYTES", rows * row_bytes)
+        monkeypatch.setattr(sp, "_BLOCK_BYTES", rows * row_bytes)
         seen.clear()
         assert np.array_equal(sv._nonlinear_raw(half, d, grid, None), ref), rows
         blocks = [min(rows, grid[0] - a) for a in range(0, grid[0], rows)]
@@ -328,6 +328,29 @@ def test_checkpoint_round_trip_is_bitwise(domain, seed, time, step):
     assert back.domain == domain
     assert np.array_equal(back.coeffs, u.coeffs)
     assert (header["time"], header["step"]) == (time, step)
+
+
+@drawn
+@given(
+    modes=st.lists(st.integers(1, 5), min_size=2, max_size=3),
+    components=st.integers(1, 3),
+    seed=seeds,
+)
+def test_checked_half_is_the_symmetrized_half(modes, components, seed):
+    """_checked_hermitian of near-Hermitian input, on two or three mode axes, is byte for
+    byte the last-axis n >= 0 half of the one-shot _symmetrize with the zero mode pinned;
+    input far from Hermitian is rejected with the checked construction's message."""
+    rng = np.random.default_rng(seed)
+    nd = len(modes)
+    shape = (components,) + tuple(2 * m + 1 for m in modes)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = hermitian(rng, shape, nd) + 1e-9 * noise
+    want = sp._symmetrize(c, nd)
+    want[(slice(None),) + tuple(modes)] = 0.0
+    got = sp._checked_hermitian(c, shape, nd)
+    assert got.tobytes() == np.ascontiguousarray(want[..., modes[-1] :]).tobytes()
+    with pytest.raises(ValueError, match="not Hermitian .*symmetrize explicitly"):
+        sp._checked_hermitian(c + noise, shape, nd)
 
 
 @drawn
