@@ -1,10 +1,11 @@
 """Energy bookkeeping and the planar vorticity-stretching cancellation.
 
-Three checks with independent quadrature oracles:
+Three checks of the solver's own operators:
   - advection moves no energy: the unforced energy budget closes to the
     viscous dissipation alone;
-  - the planar cancellation integral vanishes for every 2D divergence-free
-    field (this is what closes the planar enstrophy estimate);
+  - the planar cancellation integral, the inner product of lap(r) with the
+    solver's nonlinear term, vanishes for every 2D divergence-free field
+    (this is what closes the planar enstrophy estimate);
   - the matching integral for the transported vertical component does NOT
     vanish: a two-mode counterexample shows why that term needs an
     inequality instead of an identity.

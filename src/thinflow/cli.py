@@ -8,13 +8,17 @@ Every scenario writes its artifacts (CSV/JSON in the formats of
 thinflow.artifacts) plus a manifest.json carrying the resolved config, its
 hash, package versions and wall time.  Each command takes the config and the
 output directory and returns its exit code and artifact names; main writes
-the manifest.  All randomness flows from the single ``seed`` key, so identical
-config and seed reproduce identical CSV/JSON artifact bytes on one BLAS kernel
-(manifests carry wall time and are exempt).  The default output root is the
+the manifest, which lists every file the command wrote.  All randomness flows
+from the single ``seed`` key, so identical config and seed reproduce identical
+CSV/JSON artifact bytes on one BLAS kernel and numpy SIMD level (manifests
+carry wall time and are exempt).  Across kernels and levels values agree to
+the reference pins' rtol, except roundoff-level residuals, and bytes can
+differ in the last bit.  The default output root is the
 THINFLOW_OUT_ROOT environment variable, falling back to ./thinflow-out.
 
 Exit codes: 0 success, 1 verification found failing inequalities, 2 invalid
-configuration or input (line-anchored message), 3 simulation blow-up
+configuration or input (line-anchored message) or an output path that cannot
+be written, 3 simulation blow-up
 (forensic dump written to blowup.json), 4 numerical failure (a constant-fit
 LP failed, or the psi^2 envelope is not finite), 5 a simulate checkpoint
 could not be written (the run's other artifacts are kept).
@@ -358,7 +362,9 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
         + (f" (expected {fit.expected_slope})" if fit.expected_slope else "")
         + f" -> {out}"
     )
-    return EXIT_OK, ["sweep.csv", "scaling_fit.json"] + [f"{sub}/estimate.json" for sub in subdirs]
+    artifacts = ["sweep.csv", "scaling_fit.json"]
+    artifacts += [f"{sub}/{name}" for sub in subdirs for name in ("estimate.json", "maximizer.ckpt")]
+    return EXIT_OK, artifacts
 
 
 def cmd_rescale_check(cfg: dict, out: str) -> tuple[int, list[str]]:
@@ -468,7 +474,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except dg.NumericalError as exc:

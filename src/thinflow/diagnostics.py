@@ -26,15 +26,16 @@ from scipy.optimize import linprog
 
 from .artifacts import record, write_csv
 from .spectral import (
-    DomainSpec,
     SpectralField,
+    deriv,
     divergence_defect,
     inner_l2,
     ksq_grid,
-    kvec_grids,
     norm_ds,
+    norm_l2,
+    proj_r,
+    proj_s,
     _box_sum,
-    _synth_half,
 )
 
 __all__ = [
@@ -178,71 +179,59 @@ def _require_planar(u: SpectralField, name: str, tol: float = 1e-12) -> None:
         raise ValueError(f"{name} must be independent of the thin direction")
 
 
-def _planar_derivs(slab: np.ndarray, d: DomainSpec, grid: tuple[int, int]) -> tuple:
-    """Samples of the Laplacian and the x and y derivatives of a planar slab on a 2D grid."""
-    k1, k2 = (2j * np.pi * k[..., 0] for k in kvec_grids(d)[:2])
-    lap = -((2 * np.pi) ** 2) * ksq_grid(d)[..., d.n3]
-    return tuple(_synth_half((m * slab)[..., d.n2 :], grid) for m in (lap, k1, k2))
-
-
 def check_enstrophy_miracle(r: SpectralField) -> float:
-    """Normalized quadrature of the planar cancellation integral.
+    """Normalized planar cancellation integral, on the solver's nonlinear term.
 
     For a z-independent, divergence-free horizontal field r the integral
-    of lap(r) . (r . grad r) over the horizontal box vanishes identically;
-    the return value is |integral| / (||D^2 r|| ||D r||^2) computed with
-    exact (oversampled) quadrature, so it measures pure roundoff.
+    of lap(r) . (r . grad r) over the horizontal box vanishes identically.
+    D^2 r = -lap(r) lies in the band and is divergence-free, so its inner
+    product with N(r) = -L(r . grad r) (solver.nonlinear_term) is that
+    integral exactly.  Returns |integral| / (||D^2 r|| ||D r||^2) in the
+    horizontal box's 2D norms (a volume norm carries sqrt(eps) more), the
+    roundoff of the operator every run uses.
     """
-    d = r.domain
     _require_planar(r, "r")
     if float(np.max(np.abs(r.half[2]))) > 1e-12 * max(float(np.max(np.abs(r.half))), 1e-300):
         raise ValueError("r must have zero vertical component")
     if divergence_defect(r) > 1e-10:
         raise ValueError("r must be divergence-free")
-    grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
-    slab = r.half[:2, ..., 0]
-    ksq = ksq_grid(d)[..., d.n3]
-    lap, rx, ry = _planar_derivs(slab, d, grid)
-    rp = _synth_half(slab[..., d.n2 :], grid)
-    integrand = np.sum(lap * (rp[0] * rx + rp[1] * ry), axis=0)
-    area = d.l1 * d.l2
-    integral = area * float(np.mean(integrand))
-    # 2D norms of the slab (independent of eps)
-    nrm = lambda w: float(np.sqrt(area * np.sum(w)))
-    dr = nrm((2 * np.pi) ** 2 * ksq * np.sum(np.abs(slab) ** 2, axis=0))
-    d2r = nrm((2 * np.pi) ** 4 * ksq**2 * np.sum(np.abs(slab) ** 2, axis=0))
-    denom = d2r * dr**2
+    # solver imports this module, so its operator is imported at call time
+    from .solver import nonlinear_term
+
+    denom = norm_ds(r, 2.0) * norm_ds(r, 1.0) ** 2
     if denom == 0.0:
         return 0.0
-    return abs(integral) / denom
+    integral = inner_l2(deriv(r, 2.0), nonlinear_term(r))
+    return abs(integral) * float(np.sqrt(r.domain.eps)) / denom
 
 
 def s_transport_residual(r: SpectralField, s: SpectralField) -> float:
-    """|integral of lap(s3) (r . grad s3)| / (||D^2 s3|| ||r . grad s3||).
+    """|integral of lap(s3) (r . grad s3)| / (||D^2 s3|| ||L(r . grad s3)||).
 
     The analogue of the planar cancellation for the transported vertical
     component: it does NOT vanish in general, which is why that term needs
-    an inequality estimate rather than an identity.  The normalization is
-    the Cauchy-Schwarz bound of the integral, so the result lies in [0, 1].
+    an inequality estimate rather than an identity.  Only r's horizontal
+    part, which must be divergence-free (transport by an incompressible 2D
+    flow), and s's vertical component s3 are used.  Component 3 of
+    solver.nonlinear_term(r + s3) is -L(r . grad s3), the band projection
+    of the transport that the Galerkin system sees: the Leray projection
+    leaves it alone since k3 = 0 on the p = 0 plane.  lap(s3) lies in the
+    band, so the integral is exact; the normalization is its Cauchy-Schwarz
+    bound, so the result lies in [0, 1].
     """
-    d = r.domain
     _require_planar(r, "r")
     _require_planar(s, "s")
-    grid = (3 * d.n1 + 2, 3 * d.n2 + 2)
-    rslab = r.half[:2, ..., 0]
-    sslab = s.half[2, ..., 0]
-    ksq = ksq_grid(d)[..., d.n3]
-    lap_s, sx, sy = _planar_derivs(sslab, d, grid)
-    rp = _synth_half(rslab[..., d.n2 :], grid)
-    transport = rp[0] * sx + rp[1] * sy
-    area = d.l1 * d.l2
-    integral = area * float(np.mean(lap_s * transport))
-    d2s = float(np.sqrt(area * np.sum((2 * np.pi) ** 4 * ksq**2 * np.abs(sslab) ** 2)))
-    tnorm = float(np.sqrt(area * np.mean(transport**2)))
-    denom = d2s * tnorm
+    r, s = proj_r(r), proj_s(s)
+    if divergence_defect(r) > 1e-10:
+        raise ValueError("r must be divergence-free")
+    # solver imports this module, so its operator is imported at call time
+    from .solver import nonlinear_term
+
+    transport = proj_s(nonlinear_term(r + s))
+    denom = norm_ds(s, 2.0) * norm_l2(transport)
     if denom == 0.0:
         return 0.0
-    return abs(integral) / denom
+    return abs(inner_l2(deriv(s, 2.0), transport)) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -433,7 +433,8 @@ def _refine_coordinates(best, ratio_fn, budget: int):
         nd = 3
     coeffs = best.coeffs.copy()
     flat = np.abs(coeffs).ravel()
-    order = np.argsort(flat)[::-1][: min(_REFINE_TOP_K, flat.size)]
+    # descending, ties (a Hermitian pair) in index order on every SIMD dispatch level
+    order = np.argsort(-flat, kind="stable")[: min(_REFINE_TOP_K, flat.size)]
     scale = float(np.max(flat))
     if scale == 0.0:
         return best, 0.0

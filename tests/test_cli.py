@@ -194,6 +194,17 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["artifacts"] == ["diagnostics.csv", "run_meta.json", "run_step00000000.ckpt"]
 
+    def test_diagnostics_path_taken_by_a_directory(self, planar_cfg, tmp_path, capsys):
+        """A directory where diagnostics.csv goes exits 2 with one error line, not a traceback."""
+        out = tmp_path / "run"
+        (out / "diagnostics.csv").mkdir(parents=True)
+        rc = run_cli(["simulate", "-c", planar_cfg, "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "diagnostics.csv" in err[0]
+        assert not (out / "manifest.json").exists()
+
     def test_env_var_output_root(self, planar_cfg, tmp_path, monkeypatch):
         monkeypatch.setenv("THINFLOW_OUT_ROOT", str(tmp_path / "root"))
         monkeypatch.chdir(tmp_path)
@@ -301,6 +312,21 @@ class TestEstimateAndSweep:
             assert (out / f"eps_{eps}" / "maximizer.ckpt").exists()
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 5
+
+    def test_sweep_subdirectory_taken_by_a_file(self, tmp_path, capsys):
+        """A regular file where an eps_* directory goes exits 2 with one error line."""
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "eps_0.25").write_text("keep\n")
+        rc = run_cli([
+            "sweep", "--out", str(out), "--set", "eps_list=0.25,0.125,0.0625",
+            "--set", "budget=4", "--set", "cap=16",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "eps_0.25" in err[0]
+        assert (out / "eps_0.25").read_text() == "keep\n"
 
     def test_sweep_rejects_eps_values_sharing_a_directory(self, tmp_path, capsys):
         """eps_{eps:g} keeps 6 significant digits: 0.1000001 and 0.1000002 both map to

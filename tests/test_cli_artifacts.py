@@ -8,8 +8,9 @@ directory's own name (trajectory_id), whether the path is absolute or
 relative.  The comparison pins the schemas: the set of files, every CSV
 header and row length, every JSON key, and every string, int, bool and null
 exactly; numbers match to rtol 1e-10, atol 0, the rule of
-``conftest.assert_matches_reference``.  To write the files from the current
-code (only when an artifact is meant to change):
+``conftest.assert_matches_reference``.  Each scenario's manifest must list
+every other file it wrote, checkpoints included.  To write the files from
+the current code (only when an artifact is meant to change):
 
     PYTHONPATH=src python tests/test_cli_artifacts.py
 """
@@ -67,7 +68,7 @@ SCENARIOS = [
 
 
 def _run_all(workdir: Path) -> Path:
-    """Run every scenario with relative paths from workdir; return the pruned output root."""
+    """Run every scenario with relative paths from workdir; return workdir."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -76,10 +77,15 @@ def _run_all(workdir: Path) -> Path:
             assert rc == code, f"{out}: exit {rc}, expected {code}"
     finally:
         os.chdir(cwd)
-    for path in list(workdir.rglob("*")):
+    return workdir
+
+
+def _prune(root: Path) -> Path:
+    """Drop the checkpoints and manifests from an output root; return it."""
+    for path in list(root.rglob("*")):
         if path.is_file() and (path.suffix not in (".json", ".csv") or path.name == "manifest.json"):
             path.unlink()
-    return workdir
+    return root
 
 
 def _artifact_files(root: Path) -> list[str]:
@@ -124,8 +130,14 @@ def _load(path: Path):
 
 
 @pytest.fixture(scope="module")
-def produced(tmp_path_factory) -> Path:
-    return _run_all(tmp_path_factory.mktemp("cli-artifacts"))
+def written(tmp_path_factory) -> Path:
+    """The output root as the scenarios left it, manifests and checkpoints included."""
+    return _run_all(tmp_path_factory.mktemp("cli-written"))
+
+
+@pytest.fixture(scope="module")
+def produced(written, tmp_path_factory) -> Path:
+    return _prune(shutil.copytree(written, tmp_path_factory.mktemp("cli-artifacts") / "out"))
 
 
 def test_same_artifact_files(produced):
@@ -137,8 +149,16 @@ def test_artifact_matches_reference(produced, name):
     _compare(_load(produced / name), _load(REFERENCE_DIR / name), name)
 
 
+@pytest.mark.parametrize("out", [scenario[0] for scenario in SCENARIOS])
+def test_manifest_lists_every_artifact(written, out):
+    """A manifest names every file its scenario wrote, checkpoints included."""
+    root = written / out
+    listed = json.loads((root / "manifest.json").read_text())["artifacts"]
+    assert listed == [name for name in _artifact_files(root) if name != "manifest.json"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        root = _run_all(Path(tmp))
+        root = _prune(_run_all(Path(tmp)))
         shutil.rmtree(REFERENCE_DIR, ignore_errors=True)
         shutil.copytree(root, REFERENCE_DIR)

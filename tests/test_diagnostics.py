@@ -1,5 +1,6 @@
 """Tests for norm functionals, identity checks, and the inequality fitter."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,6 +122,38 @@ class TestEnstrophyMiracle:
         cs[2, n1 - 1, n2 - 1, n3] = 0.5  # + cos(2 pi (x + y))
         s_field = sp.SpectralField(domain2d, cs)
         assert dg.s_transport_residual(r, s_field) >= 1e-2
+
+
+    def test_counterexample_closed_form(self, domain2d):
+        """r = (sin 2 pi y, 0) transporting s3 = cos 2 pi x + cos 2 pi (x + y):
+        the normalized integral is 1 / (2 sqrt 5)."""
+        n1, n2, n3 = domain2d.n1, domain2d.n2, domain2d.n3
+        c = np.zeros((3,) + domain2d.shape, complex)
+        c[0, n1, n2 + 1, n3] = -0.5j
+        c[0, n1, n2 - 1, n3] = 0.5j
+        cs = np.zeros((3,) + domain2d.shape, complex)
+        cs[2, [n1 + 1, n1 - 1, n1 + 1, n1 - 1], [n2, n2, n2 + 1, n2 - 1], n3] = 0.5
+        value = dg.s_transport_residual(sp.SpectralField(domain2d, c), sp.SpectralField(domain2d, cs))
+        assert value == pytest.approx(1 / (2 * math.sqrt(5)), rel=1e-12)
+
+    def test_reads_the_solvers_nonlinear_term(self, domain2d, rng, monkeypatch):
+        """The check sees solver.nonlinear_term: adding an in-band, divergence-free
+        field a thousandth the size of N(r) to it lifts the residual off roundoff."""
+        r = planar_divfree(domain2d, rng)
+        exact = sv.nonlinear_term
+
+        def perturbed(u):
+            n = exact(u)
+            return n + u * (1e-3 * sp.norm_l2(n) / sp.norm_l2(u))
+
+        monkeypatch.setattr(sv, "nonlinear_term", perturbed)
+        assert dg.check_enstrophy_miracle(r) > 1e-6
+
+    def test_transport_rejects_divergent_r(self, domain2d, rng):
+        r = sp.proj_r(sp.proj_p(sp.random_field(domain2d, rng)))
+        s_field = sp.proj_s(sp.proj_p(sp.random_field(domain2d, rng)))
+        with pytest.raises(ValueError, match="r must be divergence-free"):
+            dg.s_transport_residual(r, s_field)
 
 
 class TestDiffInequalities:
