@@ -145,10 +145,10 @@ def _write_manifest(out: str, scenario: str, cfg: dict, artifacts: list[str], t0
     })
 
 
-def _build_forcing(cfg: dict, domain: sp.DomainSpec, rng: np.random.Generator) -> sv.ForcingSpec:
+def _build_forcing(cfg: dict, domain: sp.DomainSpec, rng: np.random.Generator) -> sv.ForcingSpec | None:
     kind = cfg.get("forcing.kind", "off")
     if kind == "off":
-        return sv.ForcingSpec.off(domain)
+        return None
     profile_kind = cfg.get("forcing.profile", "z-independent")
     profile = sv.make_initial(
         domain,
@@ -188,6 +188,7 @@ def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
         q_fraction=_coerce(cfg, "initial.q_fraction", float, default=0.3),
     )
     forcing = _build_forcing(cfg, domain, rng)
+    F = forcing.f_bound if forcing is not None else 0.0
     run_cfg = sv.SolverConfig(
         dt=_coerce(cfg, "dt", float, required=True),
         t_end=_coerce(cfg, "t_end", float, required=True),
@@ -200,8 +201,8 @@ def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
     result.series.to_csv(os.path.join(out, "diagnostics.csv"))
     write_json(os.path.join(out, "run_meta.json"), {
         "U": sp.h1_norm(u0),
-        "F": forcing.f_bound,
-        "M": max(sp.h1_norm(u0), (domain.l1 / domain.nu) * forcing.f_bound),
+        "F": F,
+        "M": max(sp.h1_norm(u0), (domain.l1 / domain.nu) * F),
         "domain": record(domain),
         "scheme": run_cfg.scheme,
         "dt": run_cfg.dt,
@@ -265,7 +266,7 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
     # the envelope needs one of the two system regimes (the split per-quantity
     # inequalities alone do not assemble into a comparison system)
     env_regime = "planar" if "planar" in regimes else ("full" if "full" in regimes else None)
-    if env_regime is not None and _coerce(cfg, "envelope", bool, default=True):
+    if env_regime is not None:
         fit_reports = [r for r in all_reports if r.name.startswith(env_regime)]
         system = gw.InequalitySystem.from_fits(
             domain, fit_reports, U=U, F=F, regime=env_regime
@@ -339,16 +340,13 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
     cap = _coerce(cfg, "cap", int, default=64)
     budget = _coerce(cfg, "budget", int, default=20)
     seed = _coerce(cfg, "seed", int, default=0)
-    refine = _coerce(cfg, "refine", bool, default=False)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(len(eps_values))]
 
     estimates = []
     for eps, subdir, point_seed in zip(eps_values, subdirs, seeds):
         res = iq.thin_sweep_resolution(eps, l1=l1, cap=cap, n3=n3)
         domain = sp.DomainSpec(l1=l1, l2=l2, eps=eps, nu=1.0, n1=res[0], n2=res[1], n3=res[2])
-        est = iq.estimate_constant(
-            inequality, domain, budget=budget, seed=point_seed, refine=refine
-        )
+        est = iq.estimate_constant(inequality, domain, budget=budget, seed=point_seed, refine=False)
         sub = os.path.join(out, subdir)
         os.makedirs(sub, exist_ok=True)
         _write_estimate(est, domain, sub)
@@ -471,10 +469,7 @@ def main(argv=None) -> int:
         code, artifacts = _COMMANDS[args.scenario](cfg, out)
         _write_manifest(out, args.scenario, cfg, artifacts, t0)
         return code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except dg.NumericalError as exc:

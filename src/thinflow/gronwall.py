@@ -194,9 +194,7 @@ class GronwallEnvelope:
 
 
 def _linear_envelope(a: float, b: float, x0: float, t: np.ndarray) -> np.ndarray:
-    """Solution of x' = -a x + b, x(0) = x0 (a >= 0)."""
-    if a <= 0.0:
-        return x0 + b * t
+    """Solution of x' = -a x + b, x(0) = x0 (a > 0)."""
     return b / a + (x0 - b / a) * np.exp(-a * t)
 
 
@@ -430,7 +428,6 @@ def check_trajectory(
         ("phi_sq", phi**2, env.phi_sq),
         ("psi_sq", psi**2, env.psi_sq),
     ]
-    contained = True
     first_violation = None
     margins = {}
     for name, values, bound in checks:
@@ -438,11 +435,7 @@ def check_trajectory(
         over = values > allowed
         margins[name] = float(np.min(allowed - values))
         if np.any(over) and first_violation is None:
-            idx = int(np.argmax(over))
-            contained = False
-            first_violation = (name, float(series.times[idx]))
-        elif np.any(over):
-            contained = False
+            first_violation = (name, float(series.times[int(np.argmax(over))]))
 
     guard_threshold = guard_max = guard_first = None
     small_ok = None
@@ -458,7 +451,7 @@ def check_trajectory(
     if sys.data_threshold is not None:
         small_ok = sys.M <= sys.data_threshold
     return ContainmentReport(
-        contained=contained,
+        contained=first_violation is None,
         first_violation=first_violation,
         guard_threshold=guard_threshold,
         guard_max=guard_max,

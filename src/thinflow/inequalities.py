@@ -422,8 +422,6 @@ def _refine_coordinates(best, ratio_fn, budget: int):
     Hermitian mirror in sync), with a step that shrinks whenever a full pass
     yields no improvement.  Derivative-free and deterministic.
     """
-    if budget <= 0:
-        return best, 0.0
     # the incumbent (a mirror) and each candidate (a _symmetrize) are exactly Hermitian
     if isinstance(best, Field2D):
         make = lambda c: Field2D._wrap(best.l1, best.l2, best.n1, best.n2, c[..., best.n2 :])

@@ -103,23 +103,19 @@ class ForcingSpec:
     The profile must already be Leray-projected (and mean-free); the
     constructors below project it once.  A scalar factor keeps it
     divergence-free, so evaluations do not project again.  The factor is
-    amplitude when omega == 0 (steady, or off at amplitude 0) and
-    amplitude * sin(omega t + phase) otherwise.  f_bound = sup_t ||f(t)||_2
-    is derived from the profile and the amplitude.
+    amplitude when omega == 0 (steady) and amplitude * sin(omega t + phase)
+    otherwise.  f_bound = sup_t ||f(t)||_2 is derived from the profile and
+    the amplitude.  An unforced run passes None in place of a ForcingSpec.
     """
 
     profile: SpectralField
-    amplitude: float = 0.0
+    amplitude: float
     omega: float = 0.0
     phase: float = 0.0
 
     def __post_init__(self):
         if self.omega < 0.0:
             raise ValueError(f"forcing needs omega >= 0, got {self.omega}")
-
-    @classmethod
-    def off(cls, domain: DomainSpec) -> "ForcingSpec":
-        return cls(SpectralField.zeros(domain))
 
     @classmethod
     def steady(cls, profile: SpectralField, amplitude: float = 1.0) -> "ForcingSpec":

@@ -282,9 +282,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField._wrap(self.domain, -self.half)
-
     def _check_same(self, other: "SpectralField") -> None:
         if self.domain != other.domain:
             raise ValueError("fields live on different domains")

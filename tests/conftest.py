@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from thinflow.diagnostics import DiagnosticSeries, SeriesBuilder
-from thinflow.spectral import DomainSpec
+from thinflow.solver import make_initial
+from thinflow.spectral import DomainSpec, h1_norm
 
 REFERENCE_DIR = Path(__file__).parent / "data"
 
@@ -53,3 +54,12 @@ def series_of():
         return builder.finish()
 
     return build
+
+
+@pytest.fixture
+def rising_planar_series(series_of, small_domain):
+    """(series, U): the z-independent field u(t) = (1 + t) u0 sampled at F = 0, so
+    phi^2 rises although nothing forces it, and U = ||u0||_H1."""
+    u0 = make_initial(small_domain, "z-independent", u_target=0.05, seed=5)
+    times = np.linspace(0.0, 0.2, 11)
+    return series_of([u0 * (1.0 + t) for t in times], times), h1_norm(u0)

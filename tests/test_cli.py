@@ -10,6 +10,9 @@ import pytest
 
 from thinflow import cli
 from thinflow import gronwall as gw
+from thinflow import solver as sv
+from thinflow import spectral as sp
+from thinflow.artifacts import record
 from thinflow.diagnostics import DiagnosticSeries
 
 PLANAR_CFG = """\
@@ -36,6 +39,11 @@ seed=42
 
 def run_cli(args):
     return cli.main(args)
+
+
+def write_file(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.fixture
@@ -100,6 +108,30 @@ class TestConfigParsing:
         assert rc == cli.EXIT_CONFIG
         assert "'dealias' was removed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (lambda tmp, cfg: ["simulate", "-c", str(tmp / "missing.cfg")], "cannot read config"),
+        (lambda tmp, cfg: ["simulate", "-c", write_file(tmp / "bad.cfg", "l1=1.0\n = 2.0\n")],
+         "bad.cfg:2: empty key"),
+        (lambda tmp, cfg: ["simulate", "-c", cfg, "--set", "enforce_cfl=maybe"],
+         "config key 'enforce_cfl': cannot parse 'maybe' as bool"),
+        (lambda tmp, cfg: ["simulate", "-c", cfg, "--set", "forcing.kind=gust"],
+         "config key 'forcing.kind': unknown kind 'gust'"),
+        (lambda tmp, cfg: ["sweep", "--set", "eps_list=0.25,abc,0.0625"],
+         "config key 'eps_list': expected comma-separated floats"),
+        (lambda tmp, cfg: ["thresholds", "--set", "delta"], "--set 'delta': expected KEY=VALUE"),
+        (lambda tmp, cfg: ["estimate-constants", "-c", cfg],
+         "missing required config key 'inequality'"),
+    ], ids=["unreadable-file", "empty-key", "bad-bool", "unknown-forcing", "bad-float-list",
+            "set-without-equals", "no-inequality"])
+    def test_config_errors(self, planar_cfg, tmp_path, capsys, argv, message):
+        """Each bad input exits 2 with one error line naming what is wrong."""
+        out = tmp_path / "o"
+        rc = run_cli([*argv(tmp_path, planar_cfg), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("how", ["--out", "out key"])
     def test_output_path_that_is_a_file_is_config_error(self, planar_cfg, tmp_path, capsys, how):
@@ -143,7 +175,7 @@ class TestSimulate:
         run_cli(["simulate", "-c", planar_cfg, "--out", str(out2), "--seed", "7"])
         assert (out1 / "diagnostics.csv").read_bytes() != (out2 / "diagnostics.csv").read_bytes()
 
-    def test_blowup_exit_code_and_dump(self, tmp_path):
+    def test_blowup_exit_code_and_dump(self, tmp_path, capsys):
         out = tmp_path / "boom"
         rc = run_cli([
             "simulate", "--out", str(out),
@@ -158,6 +190,31 @@ class TestSimulate:
         # partial diagnostics are preserved; there is no final state to write
         assert (out / "diagnostics.csv").exists()
         assert not (out / "run_final.ckpt").exists()
+        # a run that blew up is not input to verify-inequalities
+        capsys.readouterr()
+        rc = run_cli(["verify-inequalities", "--out", str(tmp_path / "v"), "--set", f"in={out}"])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: input run blew up; nothing to verify\n"
+
+    def test_sinusoidal_forcing(self, planar_cfg, tmp_path):
+        """forcing.kind=sin: F = amplitude ||profile||, and the F column samples
+        F |sin(omega t + phase)|."""
+        out = tmp_path / "sin"
+        rc = run_cli([
+            "simulate", "-c", planar_cfg, "--out", str(out),
+            "--set", "forcing.kind=sin", "--set", "forcing.profile=taylor-green-like",
+            "--set", "forcing.omega=5.0", "--set", "forcing.phase=0.3",
+        ])
+        assert rc == cli.EXIT_OK
+        d = cli._domain_from(cli.parse_config_file(planar_cfg))
+        # the Taylor-Green profile draws nothing from the seed
+        profile = sp.leray(sv.make_initial(d, "taylor-green-like", u_target=1.0))
+        F = json.loads((out / "run_meta.json").read_text())["F"]
+        assert F == pytest.approx(0.02 * sp.norm_l2(profile), rel=1e-14)
+        series = DiagnosticSeries.from_csv(out / "diagnostics.csv")
+        np.testing.assert_allclose(
+            series.forcing, F * np.abs(np.sin(5.0 * series.times + 0.3)), rtol=1e-13, atol=0.0
+        )
 
     def test_negative_checkpoint_stride_rejected(self, planar_cfg, tmp_path, capsys):
         out = tmp_path / "neg"
@@ -252,12 +309,31 @@ class TestVerifyInequalities:
         for out, in_dir in (("abs", str(tmp_path / "run")), ("rel", "./run/")):
             rc = run_cli([
                 "verify-inequalities", "--out", out, "--set", f"in={in_dir}",
-                "--set", "regime=planar", "--set", "envelope=false",
+                "--set", "regime=planar",
             ])
             assert rc == cli.EXIT_OK
         reports = (tmp_path / "abs" / "inequality_reports.json").read_bytes()
         assert reports == (tmp_path / "rel" / "inequality_reports.json").read_bytes()
         assert {r["trajectory_id"] for r in json.loads(reports)} == {"run"}
+
+    def test_failing_verdict_exits_1(self, rising_planar_series, small_domain, tmp_path):
+        series, U = rising_planar_series
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        series.to_csv(run_dir / "diagnostics.csv")
+        meta = {"U": U, "F": 0.0, "domain": record(small_domain), "blowup": None}
+        (run_dir / "run_meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "verify"
+        rc = run_cli([
+            "verify-inequalities", "--out", str(out),
+            "--set", f"in={run_dir}", "--set", "regime=planar",
+        ])
+        assert rc == 1
+        reports = json.loads((out / "inequality_reports.json").read_text())
+        phi = {r["name"]: r for r in reports}["planar-phi"]
+        assert phi["verdict"] == "fail"
+        assert phi["residual_max"] > phi["slack"]
+        assert (out / "manifest.json").exists()
 
     def test_missing_input_dir(self, tmp_path, capsys):
         rc = run_cli(["verify-inequalities", "--out", str(tmp_path / "v")])

@@ -192,6 +192,15 @@ class TestDiffInequalities:
         with pytest.raises(dg.NumericalError, match="constant fit LP failed"):
             dg._fit_chebyshev(np.ones(6), {"damping": -np.ones(6)}, {"damping": (0.0, 1e9)})
 
+    def test_rising_phi_at_zero_forcing_fails(self, rising_planar_series):
+        """No nonnegative constants bound a rising phi^2 at F = 0: the zero-residual
+        fit is infeasible, the Chebyshev fit's residual exceeds the slack."""
+        series, _ = rising_planar_series
+        reports = dg.check_diff_inequalities(series, eps=0.125, regime="planar")
+        phi = {r.name: r for r in reports}["planar-phi"]
+        assert phi.verdict == "fail" and not phi.passed
+        assert phi.residual_max > phi.slack
+
     def test_zero_trajectory_trivially_passes(self, series_of, small_domain):
         fields = [sp.SpectralField.zeros(small_domain)] * 8
         s = series_of(fields, np.linspace(0, 1, 8))

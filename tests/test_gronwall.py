@@ -208,6 +208,43 @@ class TestContainment:
         assert report.first_violation[0] == "phi_sq"
         assert report.first_violation[1] == pytest.approx(times[40])
 
+    def test_only_the_first_violation_reported(self):
+        """theta^2 leaves its envelope at sample 10 and psi^2 at sample 30: the
+        report names theta^2 only, and both margins are negative."""
+        sys0 = base_system(U=0.2, F=0.1)
+        times = np.linspace(0.0, 4.0, 81)
+        env = gw.solve_envelope(sys0, horizon=4.0, times=times)
+        theta = 0.9 * np.sqrt(env.theta_sq)
+        psi = 0.9 * np.sqrt(env.psi_sq)
+        theta[10:] *= 10.0
+        psi[30:] *= 10.0
+        series = synthetic_series(
+            times, theta, 0.9 * np.sqrt(env.phi_sq), psi, sys0.poincare_phi, forcing=sys0.F
+        )
+        report = gw.check_trajectory(series, env)
+        assert not report.contained
+        assert report.first_violation == ("theta_sq", times[10])
+        assert report.margins["theta_sq"] < 0.0 and report.margins["psi_sq"] < 0.0
+        assert report.margins["phi_sq"] > 0.0
+
+    def test_guard_crossing_located(self):
+        """A guard shear_coupling sqrt(eps) (phi + psi) that rises to shear_damping
+        at sample 6 is crossed there: equality already counts as crossed."""
+        times = np.linspace(0.0, 1.0, 11)
+        phi = psi = 0.1 * (0.5 + 0.05 * np.arange(11))
+        eps = 0.125
+        guard = np.sqrt(eps) * (phi + psi)
+        sys_full = base_system(
+            U=0.1, F=0.0, eps=eps, regime="full",
+            shear_damping=float(guard[6]), shear_coupling=1.0,
+        )
+        rep = contain(synthetic_series(times, phi, phi, psi, 0.16), sys_full)
+        assert rep.guard_crossed
+        assert rep.guard_first_crossing == times[6]
+        assert rep.guard_threshold == guard[6]
+        assert rep.guard_max == guard[-1]
+        assert rep.to_dict()["guard_crossed"] is True
+
     def test_parameter_mismatch_rejected(self):
         sys0 = base_system(U=0.01)
         times = np.linspace(0.0, 1.0, 11)

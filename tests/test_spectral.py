@@ -114,6 +114,13 @@ class TestFieldConstruction:
         flipped = np.conj(np.flip(h.coeffs, axis=(1, 2, 3)))
         np.testing.assert_allclose(h.coeffs, flipped, atol=1e-14)
 
+    def test_arithmetic_rejects_fields_on_different_domains(self, small_domain, thin_domain, rng):
+        f = sp.random_field(small_domain, rng)
+        g = sp.random_field(thin_domain, rng)
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="different domains"):
+                combine(f, g)
+
     @pytest.mark.parametrize("shape", [(3, 9, 7, 5), (5, 3), (2, 7, 9)])
     def test_hermitian_half_is_the_symmetrized_half(self, shape, rng):
         """_hermitian_half forms, bit for bit, the last-axis n >= 0 half of _symmetrize."""
