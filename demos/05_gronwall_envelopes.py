@@ -26,7 +26,7 @@ reports = dg.check_diff_inequalities(
 system = gw.InequalitySystem.from_fits(
     domain, reports, U=U, F=0.0, regime="full", data_threshold=0.1
 )
-env = gw.solve_envelope(system, horizon=float(series.times[-1]), times=series.times)
+env = gw.solve_envelope(system, series.times)
 rep = gw.check_trajectory(series, env)
 
 print(f"{'t':>6} {'theta^2':>12} {'bound':>12} {'psi^2':>12} {'bound':>12}")

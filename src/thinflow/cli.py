@@ -4,6 +4,10 @@ Subcommands: simulate | sweep | estimate-constants | verify-inequalities |
 rescale-check | thresholds.  Configuration is a plain-text key=value file
 (``#`` comments allowed); any value can be overridden on the command line
 with repeated ``--set key=value`` flags, which is what scripted sweeps use.
+A key left unset takes the default of the library function it is passed to;
+the CLI sets its own only where that function has none (initial.u, the
+seed) or where it deliberately differs: forcing.amplitude=0.01, the sweep's
+budget=20 and rescale-check's slope=-1.0.
 Every scenario writes its artifacts (CSV/JSON in the formats of
 thinflow.artifacts) plus a manifest.json carrying the resolved config, its
 hash, package versions and wall time.  Each command takes the config and the
@@ -95,6 +99,11 @@ def _coerce(cfg: dict, key: str, cast, default=None, required: bool = False):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {cast.__name__}") from exc
 
 
+def _given(cfg: dict, prefix: str = "", **casts) -> dict:
+    """The keyword arguments cfg sets: name -> key prefix + name, cast by _coerce."""
+    return {k: _coerce(cfg, prefix + k, cast) for k, cast in casts.items() if prefix + k in cfg}
+
+
 def _float_list(cfg: dict, key: str, required: bool = False, default=None):
     raw = cfg.get(key)
     if raw is None:
@@ -155,7 +164,7 @@ def _build_forcing(cfg: dict, domain: sp.DomainSpec, rng: np.random.Generator) -
         profile_kind,
         u_target=1.0,
         seed=int(rng.integers(0, 2**31)),
-        slope=_coerce(cfg, "forcing.slope", float, default=-2.0),
+        **_given(cfg, "forcing.", slope=float),
     )
     amplitude = _coerce(cfg, "forcing.amplitude", float, default=0.01)
     if kind == "steady":
@@ -165,7 +174,7 @@ def _build_forcing(cfg: dict, domain: sp.DomainSpec, rng: np.random.Generator) -
             profile,
             omega=_coerce(cfg, "forcing.omega", float, default=1.0),
             amplitude=amplitude,
-            phase=_coerce(cfg, "forcing.phase", float, default=0.0),
+            **_given(cfg, "forcing.", phase=float),
         )
     raise ConfigError(f"config key 'forcing.kind': unknown kind {kind!r}")
 
@@ -184,25 +193,22 @@ def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
         cfg.get("initial.kind", "random-divfree"),
         u_target=_coerce(cfg, "initial.u", float, default=0.1),
         seed=int(rng.integers(0, 2**31)),
-        slope=_coerce(cfg, "initial.slope", float, default=-2.0),
-        q_fraction=_coerce(cfg, "initial.q_fraction", float, default=0.3),
+        **_given(cfg, "initial.", slope=float, q_fraction=float),
     )
     forcing = _build_forcing(cfg, domain, rng)
     F = forcing.f_bound if forcing is not None else 0.0
     run_cfg = sv.SolverConfig(
         dt=_coerce(cfg, "dt", float, required=True),
         t_end=_coerce(cfg, "t_end", float, required=True),
-        scheme=cfg.get("scheme", "etd-rk2"),
-        diag_stride=_coerce(cfg, "diag_stride", int, default=1),
-        checkpoint_stride=_coerce(cfg, "checkpoint_stride", int, default=0),
-        enforce_cfl=_coerce(cfg, "enforce_cfl", bool, default=True),
+        **_given(cfg, scheme=str, diag_stride=int, checkpoint_stride=int, enforce_cfl=bool),
     )
     result = sv.run(u0, forcing, run_cfg, out_dir=out, run_id="run")
+    U = sp.h1_norm(u0)
     result.series.to_csv(os.path.join(out, "diagnostics.csv"))
     write_json(os.path.join(out, "run_meta.json"), {
-        "U": sp.h1_norm(u0),
+        "U": U,
         "F": F,
-        "M": max(sp.h1_norm(u0), (domain.l1 / domain.nu) * F),
+        "M": max(U, (domain.l1 / domain.nu) * F),
         "domain": record(domain),
         "scheme": run_cfg.scheme,
         "dt": run_cfg.dt,
@@ -240,14 +246,14 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
         raise ConfigError(f"{in_dir}/run_meta.json: missing or bad entry: {exc}") from None
     regime = cfg.get("regime", "planar")
     regimes = list(dg.REGIMES) if regime == "all" else [regime]
-    slack_rel = _coerce(cfg, "slack_rel", float, default=1e-6)
+    slack = _given(cfg, slack_rel=float)
     artifacts = []
     all_reports = []
     # the input directory's own name: the reports do not depend on how its path was written
     trajectory_id = os.path.basename(os.path.abspath(in_dir))
     for reg in regimes:
         reports = dg.check_diff_inequalities(
-            series, eps=domain.eps, regime=reg, slack_rel=slack_rel, trajectory_id=trajectory_id
+            series, eps=domain.eps, regime=reg, trajectory_id=trajectory_id, **slack
         )
         all_reports.extend(reports)
         trace_name = f"residual_traces_{reg}.csv"
@@ -271,7 +277,7 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
         system = gw.InequalitySystem.from_fits(
             domain, fit_reports, U=U, F=F, regime=env_regime
         )
-        env = gw.solve_envelope(system, horizon=float(series.times[-1]), times=series.times)
+        env = gw.solve_envelope(system, series.times)
         containment = gw.check_trajectory(series, env)
         env.to_csv(os.path.join(out, "envelope.csv"))
         write_json(os.path.join(out, "containment.json"), {
@@ -305,17 +311,10 @@ def _write_estimate(
 
 def cmd_estimate_constants(cfg: dict, out: str) -> tuple[int, list[str]]:
     domain = _domain_from(cfg)
-    inequality = cfg.get("inequality")
-    if inequality is None:
-        raise ConfigError("missing required config key 'inequality'")
+    inequality = _coerce(cfg, "inequality", str, required=True)
     est = iq.estimate_constant(
-        inequality,
-        domain,
-        budget=_coerce(cfg, "budget", int, default=200),
-        seed=_coerce(cfg, "seed", int, default=0),
-        oversample=_coerce(cfg, "oversample", int, default=4),
-        alpha=_coerce(cfg, "alpha", float, default=1.0),
-        p=_coerce(cfg, "p", float, default=4.0),
+        inequality, domain,
+        **_given(cfg, budget=int, seed=int, oversample=int, alpha=float, p=float),
     )
     _write_estimate(est, domain, out, extra={"inequality": inequality})
     iq.write_sweep_csv(os.path.join(out, "ratios.csv"), [domain.eps], [est])
@@ -336,15 +335,14 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
         raise ConfigError("config key 'eps_list': a sweep needs at least 3 eps values")
     l1 = _coerce(cfg, "l1", float, default=4.0)
     l2 = _coerce(cfg, "l2", float, default=l1)
-    n3 = _coerce(cfg, "n3", int, default=2)
-    cap = _coerce(cfg, "cap", int, default=64)
+    resolution = _given(cfg, n3=int, cap=int)
     budget = _coerce(cfg, "budget", int, default=20)
     seed = _coerce(cfg, "seed", int, default=0)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(len(eps_values))]
 
     estimates = []
     for eps, subdir, point_seed in zip(eps_values, subdirs, seeds):
-        res = iq.thin_sweep_resolution(eps, l1=l1, cap=cap, n3=n3)
+        res = iq.thin_sweep_resolution(eps, l1=l1, **resolution)
         domain = sp.DomainSpec(l1=l1, l2=l2, eps=eps, nu=1.0, n1=res[0], n2=res[1], n3=res[2])
         est = iq.estimate_constant(inequality, domain, budget=budget, seed=point_seed, refine=False)
         sub = os.path.join(out, subdir)
@@ -395,11 +393,7 @@ def cmd_rescale_check(cfg: dict, out: str) -> tuple[int, list[str]]:
 
 def cmd_thresholds(cfg: dict, out: str) -> tuple[int, list[str]]:
     eps_values = _float_list(cfg, "eps_list", default=[0.1, 0.01, 0.001])
-    table = gw.literature_thresholds(
-        eps_values,
-        delta=_coerce(cfg, "delta", float, default=0.01),
-        c=_coerce(cfg, "c", float, default=1.0),
-    )
+    table = gw.literature_thresholds(eps_values, **_given(cfg, delta=float, c=float))
     gw.write_thresholds_csv(table, os.path.join(out, "thresholds.csv"))
     write_json(os.path.join(out, "thresholds.json"), table)
     print(f"thresholds: {len(eps_values)} eps values -> {out}")

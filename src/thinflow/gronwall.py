@@ -34,7 +34,6 @@ from .solver import nonlinear_term
 from .spectral import (
     DomainSpec,
     SpectralField,
-    default_grid,
     deriv,
     leray,
     min_nonzero_k,
@@ -285,10 +284,8 @@ def _psi_envelope(
     return psi_sq
 
 
-def solve_envelope(
-    sys: InequalitySystem, horizon: float, times: np.ndarray | None = None
-) -> GronwallEnvelope:
-    """Evaluate the comparison envelopes and the closed bounds.
+def solve_envelope(sys: InequalitySystem, times: np.ndarray) -> GronwallEnvelope:
+    """Evaluate the comparison envelopes at times and the closed bounds.
 
     phi^2 has the exponential closed form; theta^2 uses the Gronwall
     reduction through the energy Poincare constant (the literal coupled
@@ -301,13 +298,10 @@ def solve_envelope(
                          + s int_{t_n}^{t_{n+1}} e^{G(t_{n+1}) - G(tau)} dtau,
 
     each exponent difference formed directly and the integral taken by
-    8-point Gauss-Legendre on pieces with |g| h <= 1 (_psi_envelope).  An
+    8-point Gauss-Legendre on pieces with |g| h <= 1 (_psi_envelope).  times
+    must be nonnegative and nondecreasing (a ValueError otherwise); an
     envelope that is not finite raises NumericalError (the command exits 4).
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if times is None:
-        times = np.linspace(0.0, horizon, 513)
     times = np.asarray(times, dtype=float)
     U2 = sys.U**2
     F2 = sys.F**2
@@ -402,7 +396,8 @@ def check_trajectory(
     slack_rel: float = 1e-6,
 ) -> ContainmentReport:
     """Verify a simulated trajectory never exceeds env, its system's envelope
-    solved on the series' own times (a ValueError otherwise).
+    solved on the series' own times (a ValueError otherwise).  first_violation
+    is the earliest exit of theta^2, phi^2 or psi^2 (ties in that order).
 
     The series and the system must agree on U, F and eps (checked against
     the series' initial values and forcing column).  For the 'full' regime
@@ -428,14 +423,15 @@ def check_trajectory(
         ("phi_sq", phi**2, env.phi_sq),
         ("psi_sq", psi**2, env.psi_sq),
     ]
-    first_violation = None
+    exits = []
     margins = {}
     for name, values, bound in checks:
         allowed = bound * (1.0 + slack_rel) + abs_slack
         over = values > allowed
         margins[name] = float(np.min(allowed - values))
-        if np.any(over) and first_violation is None:
-            first_violation = (name, float(series.times[int(np.argmax(over))]))
+        if np.any(over):
+            exits.append((name, float(series.times[int(np.argmax(over))])))
+    first_violation = min(exits, key=lambda e: e[1], default=None)
 
     guard_threshold = guard_max = guard_first = None
     small_ok = None
@@ -479,8 +475,7 @@ class RescaleResult:
 
 
 def _quadrature_l2(f: SpectralField) -> float:
-    grid = default_grid(f.domain)
-    phys = to_physical(f, grid)
+    phys = to_physical(f)
     return float(np.sqrt(f.domain.volume * np.mean(np.sum(phys**2, axis=0))))
 
 

@@ -388,8 +388,8 @@ class ConstantEstimate:
     max_ratio: float
     maximizer: object
     best_trial_kind: str
-    upper_bound: float | None = None
-    params: dict = field(default_factory=dict)
+    upper_bound: float | None
+    params: dict
     ensemble_best: dict = field(default_factory=dict)
 
     def reproduced_ratio(self) -> float:
@@ -401,12 +401,12 @@ class ConstantEstimate:
 
 
 _RATIO_DISPATCH = {
-    "thin-sup": lambda u, params: _ratio_thin_sup(u, params.get("oversample", 4)),
-    "thin-l4": lambda u, params: _ratio_thin_l4(u, params.get("oversample", 4)),
+    "thin-sup": lambda u, params: _ratio_thin_sup(u, params["oversample"]),
+    "thin-l4": lambda u, params: _ratio_thin_l4(u, params["oversample"]),
     "planar-l4": lambda f, params: _ratio_planar_l4(f),
-    "poincare": lambda u, params: _ratio_poincare(u, params.get("alpha", 1.0)),
+    "poincare": lambda u, params: _ratio_poincare(u, params["alpha"]),
     "hausdorff-young": lambda u, params: _ratio_hausdorff_young(
-        u, params.get("p", 4.0), params.get("oversample", 4)
+        u, params["p"], params["oversample"]
     ),
 }
 
@@ -415,12 +415,13 @@ _RATIO_DISPATCH = {
 _REFINE_TOP_K = 40
 
 
-def _refine_coordinates(best, ratio_fn, budget: int):
-    """Cyclic coordinate ascent on the largest coefficients of the incumbent.
+def _refine_coordinates(best, best_ratio: float, ratio_fn, budget: int):
+    """Cyclic coordinate ascent on the largest coefficients of the incumbent best.
 
     Perturbs real and imaginary parts of the dominant modes (keeping the
     Hermitian mirror in sync), with a step that shrinks whenever a full pass
-    yields no improvement.  Derivative-free and deterministic.
+    yields no improvement.  Derivative-free and deterministic: at most budget
+    ratio evaluations, each against best_ratio, the incumbent's.
     """
     # the incumbent (a mirror) and each candidate (a _symmetrize) are exactly Hermitian
     if isinstance(best, Field2D):
@@ -434,32 +435,24 @@ def _refine_coordinates(best, ratio_fn, budget: int):
     # descending, ties (a Hermitian pair) in index order on every SIMD dispatch level
     order = np.argsort(-flat, kind="stable")[: min(_REFINE_TOP_K, flat.size)]
     scale = float(np.max(flat))
-    if scale == 0.0:
-        return best, 0.0
-    best_ratio = ratio_fn(make(coeffs))
     step = 0.25
-    evals = 0
-    improved_any = False
-    while evals < budget and step > 1e-3:
+    while budget > 0 and step > 1e-3:
         improved = False
         for idx in order:
-            if evals >= budget:
-                break
             for delta in (step * scale, -step * scale, 1j * step * scale, -1j * step * scale):
+                if budget == 0:
+                    break
                 cand = coeffs.copy()
                 cand.ravel()[idx] += delta
                 cand = _symmetrize(cand, nd)
                 r = ratio_fn(make(cand))
-                evals += 1
+                budget -= 1
                 if r > best_ratio * (1.0 + 1e-12):
                     coeffs, best_ratio, improved = cand, r, True
-                    improved_any = True
-                    break
-                if evals >= budget:
                     break
         if not improved:
             step *= 0.5
-    return (make(coeffs) if improved_any else best), best_ratio
+    return make(coeffs), best_ratio
 
 
 #: relative gap under which the best deterministic ratio meets the upper bound
@@ -624,7 +617,7 @@ def estimate_constant(
             kind, env = family
             consider(random_trial(env), kind)
         if refine and refine_budget > 0:
-            refined, refined_ratio = _refine_coordinates(best, ratio_fn, refine_budget)
+            refined, refined_ratio = _refine_coordinates(best, best_ratio, ratio_fn, refine_budget)
             if refined_ratio > best_ratio:
                 best, best_ratio = refined, refined_ratio
                 best_kind += "+ascent"

@@ -64,6 +64,7 @@ from .spectral import (
     proj_q,
     random_field,
     save_checkpoint,
+    to_physical,
     to_spectral,
     _block_rows,
     _box_sum,
@@ -437,7 +438,7 @@ def cfl_estimate(u: SpectralField) -> float:
     """Advective step bound 0.5 * min(grid spacing) / max |u| on the product grid."""
     d = u.domain
     grid = default_grid(d)
-    phys = _synth_half(u.half, grid)
+    phys = to_physical(u, grid)
     # |u|^2 in place, summed in np.sum's order over the component axis
     np.square(phys, out=phys)
     phys[0] += phys[1]

@@ -322,7 +322,7 @@ def test_criterion_10_gronwall_containment(fitted):
             regime=regime, data_threshold=0.1,
         )
         times = entry["series"].times
-        env = gw.solve_envelope(system, horizon=float(times[-1]), times=times)
+        env = gw.solve_envelope(system, times)
         rep = gw.check_trajectory(entry["series"], env)
         ok &= rep.contained and not rep.guard_crossed
         if entry["F"] == 0.0:

@@ -1,15 +1,20 @@
 """Tests for the command-line scenarios: artifacts, determinism, exit codes."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thinflow import cli
+from thinflow import diagnostics as dg
 from thinflow import gronwall as gw
+from thinflow import inequalities as iq
 from thinflow import solver as sv
 from thinflow import spectral as sp
 from thinflow.artifacts import record
@@ -121,8 +126,9 @@ class TestConfigParsing:
         (lambda tmp, cfg: ["thresholds", "--set", "delta"], "--set 'delta': expected KEY=VALUE"),
         (lambda tmp, cfg: ["estimate-constants", "-c", cfg],
          "missing required config key 'inequality'"),
+        (lambda tmp, cfg: ["sweep", "--set", "budget=4"], "missing required config key 'eps_list'"),
     ], ids=["unreadable-file", "empty-key", "bad-bool", "unknown-forcing", "bad-float-list",
-            "set-without-equals", "no-inequality"])
+            "set-without-equals", "no-inequality", "sweep-without-eps-list"])
     def test_config_errors(self, planar_cfg, tmp_path, capsys, argv, message):
         """Each bad input exits 2 with one error line naming what is wrong."""
         out = tmp_path / "o"
@@ -215,6 +221,22 @@ class TestSimulate:
         np.testing.assert_allclose(
             series.forcing, F * np.abs(np.sin(5.0 * series.times + 0.3)), rtol=1e-13, atol=0.0
         )
+
+    def test_enforce_cfl_true_rejects_a_step_above_the_bound(self, planar_cfg, tmp_path, capsys):
+        rc = run_cli([
+            "simulate", "-c", planar_cfg, "--out", str(tmp_path / "o"),
+            "--set", "initial.u=50", "--set", "enforce_cfl=true",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert "exceeds the advective bound" in capsys.readouterr().err
+
+    def test_readme_minimal_config_runs(self, tmp_path):
+        """The README's minimal simulate config, shortened to t_end=0.01, exits 0."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"A minimal simulate config:\n\n```ini\n(.*?)```", readme, re.S)
+        cfg = write_file(tmp_path / "minimal.cfg", block.group(1))
+        rc = run_cli(["simulate", "-c", cfg, "--out", str(tmp_path / "o"), "--set", "t_end=0.01"])
+        assert rc == cli.EXIT_OK
 
     def test_negative_checkpoint_stride_rejected(self, planar_cfg, tmp_path, capsys):
         out = tmp_path / "neg"
@@ -472,12 +494,92 @@ class TestRescaleAndThresholds:
         lines = (out / "thresholds.csv").read_text().splitlines()
         assert len(lines) == 4
 
+    def test_thresholds_default_eps_list(self, tmp_path):
+        out = tmp_path / "th"
+        assert run_cli(["thresholds", "--out", str(out)]) == cli.EXIT_OK
+        table = json.loads((out / "thresholds.json").read_text())
+        assert [r["eps"] for r in table["rows"]] == [0.1, 0.01, 0.001]
+        assert len((out / "thresholds.csv").read_text().splitlines()) == 4
+
     def test_eps_validation_surfaces(self, tmp_path, capsys):
         for eps_list in ("1.5", ""):
             out = tmp_path / f"x{eps_list}"
             rc = run_cli(["thresholds", "--out", str(out), "--set", f"eps_list={eps_list}"])
             assert rc == cli.EXIT_CONFIG, eps_list
             assert not (out / "manifest.json").exists()
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+_SIM_ARGS = [
+    "--set", "l1=1", "--set", "l2=1", "--set", "eps=0.2", "--set", "nu=1",
+    "--set", "n1=4", "--set", "n2=4", "--set", "n3=1",
+    "--set", "dt=0.002", "--set", "t_end=0.01",
+    "--set", "initial.kind=q-perturbed", "--set", "forcing.kind=sin",
+    "--set", "forcing.profile=random-divfree",
+]
+_BOX_ARGS = [
+    "--set", "l1=1", "--set", "l2=1", "--set", "eps=0.2", "--set", "nu=1",
+    "--set", "n1=2", "--set", "n2=2", "--set", "n3=1",
+]
+
+#: command, its arguments, and each key the CLI forwards with the default of the
+#: library parameter it is passed to
+_FORWARDED = [
+    ("simulate", _SIM_ARGS, {
+        "initial.slope": _default(sv.make_initial, "slope"),
+        "initial.q_fraction": _default(sv.make_initial, "q_fraction"),
+        "forcing.slope": _default(sv.make_initial, "slope"),
+        "forcing.phase": _default(sv.ForcingSpec.sinusoidal, "phase"),
+        "scheme": _default(sv.SolverConfig, "scheme"),
+        "diag_stride": _default(sv.SolverConfig, "diag_stride"),
+        "checkpoint_stride": _default(sv.SolverConfig, "checkpoint_stride"),
+        "enforce_cfl": _default(sv.SolverConfig, "enforce_cfl"),
+    }),
+    ("verify-inequalities", ["--set", "regime=planar"], {
+        "slack_rel": _default(dg.check_diff_inequalities, "slack_rel"),
+    }),
+    ("estimate-constants", _BOX_ARGS + ["--set", "inequality=hausdorff-young"], {
+        key: _default(iq.estimate_constant, key)
+        for key in ("budget", "seed", "oversample", "alpha", "p")
+    }),
+    ("sweep", ["--set", "eps_list=0.25,0.125,0.0625", "--set", "budget=4"], {
+        "n3": _default(iq.thin_sweep_resolution, "n3"),
+        "cap": _default(iq.thin_sweep_resolution, "cap"),
+    }),
+    ("thresholds", [], {
+        "delta": _default(gw.literature_thresholds, "delta"),
+        "c": _default(gw.literature_thresholds, "c"),
+    }),
+]
+
+
+def _artifact_bytes(out: Path) -> dict:
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"
+    }
+
+
+class TestLibraryDefaults:
+    @pytest.mark.parametrize("command, args, defaults", _FORWARDED,
+                             ids=[c for c, _, _ in _FORWARDED])
+    def test_unset_key_takes_the_library_default(self, tmp_path, command, args, defaults):
+        """Setting a forwarded key to its library default writes the bytes of leaving it unset."""
+        if command == "verify-inequalities":
+            run_dir = tmp_path / "run"
+            assert run_cli(["simulate", "--out", str(run_dir), *_SIM_ARGS]) == cli.EXIT_OK
+            args = [*args, "--set", f"in={run_dir}"]
+        assert run_cli([command, "--out", str(tmp_path / "unset"), *args]) in (cli.EXIT_OK, 1)
+        unset = _artifact_bytes(tmp_path / "unset")
+        assert unset
+        for key, value in defaults.items():
+            out = tmp_path / key
+            rc = run_cli([command, "--out", str(out), *args, "--set", f"{key}={value}"])
+            assert rc in (cli.EXIT_OK, 1)
+            assert _artifact_bytes(out) == unset, key
 
 
 class TestEntryPoint:

@@ -149,6 +149,11 @@ class TestEnstrophyMiracle:
         monkeypatch.setattr(sv, "nonlinear_term", perturbed)
         assert dg.check_enstrophy_miracle(r) > 1e-6
 
+    def test_rejects_divergent_r(self, domain2d, rng):
+        r = sp.proj_r(sp.proj_p(sp.random_field(domain2d, rng)))
+        with pytest.raises(ValueError, match="r must be divergence-free"):
+            dg.check_enstrophy_miracle(r)
+
     def test_transport_rejects_divergent_r(self, domain2d, rng):
         r = sp.proj_r(sp.proj_p(sp.random_field(domain2d, rng)))
         s_field = sp.proj_s(sp.proj_p(sp.random_field(domain2d, rng)))
@@ -162,6 +167,10 @@ class TestDiffInequalities:
         s = series_of(fields, np.arange(4.0))
         with pytest.raises(ValueError, match="too short"):
             dg.check_diff_inequalities(s, eps=0.125, regime="planar")
+
+    def test_shared_fit_needs_a_trajectory(self):
+        with pytest.raises(ValueError, match="no trajectories supplied"):
+            dg.fit_shared_constants([], eps=0.125, regime="planar")
 
     def test_unknown_regime(self, series_of, small_domain, rng):
         fields = [sp.random_field(small_domain, rng) for _ in range(6)]

@@ -42,9 +42,14 @@ def synthetic_series(times, theta, phi, psi, poincare, forcing=0.0):
     )
 
 
+def upto(horizon: float) -> np.ndarray:
+    """513 equally spaced envelope times on [0, horizon]."""
+    return np.linspace(0.0, horizon, 513)
+
+
 def contain(series, sys: gw.InequalitySystem) -> gw.ContainmentReport:
     """check_trajectory against the system's envelope on the series' times."""
-    env = gw.solve_envelope(sys, horizon=float(series.times[-1]), times=series.times)
+    env = gw.solve_envelope(sys, series.times)
     return gw.check_trajectory(series, env)
 
 
@@ -58,6 +63,10 @@ class TestSystemValidation:
             base_system(regime="axial")
         with pytest.raises(ValueError, match="shear"):
             base_system(regime="full")
+        with pytest.raises(ValueError, match="U and F must be nonnegative"):
+            base_system(U=-0.1)
+        with pytest.raises(ValueError, match="shear constants must be positive"):
+            base_system(regime="full", shear_damping=1.0, shear_coupling=-1.0)
 
     def test_m_derived(self):
         assert base_system(U=0.3, F=0.6).M == 0.6
@@ -70,7 +79,7 @@ class TestEnvelope:
         moves psi^2 by far less than roundoff)."""
         sys0 = base_system(psi_coupling=1e-30, U=1.0, F=0.5,
                            poincare_phi=1.0, poincare_psi=1.0, poincare_energy=1.0)
-        env = gw.solve_envelope(sys0, horizon=3.0)
+        env = gw.solve_envelope(sys0, upto(3.0))
         a, b = 1.0, 0.25
         exact = b / a + (1.0 - b / a) * np.exp(-a * env.times)
         np.testing.assert_allclose(env.phi_sq, exact, rtol=1e-12)
@@ -79,7 +88,7 @@ class TestEnvelope:
     def test_unforced_psi_is_the_integrating_factor(self):
         """With F = 0, psi^2 = U^2 e^{G(t)}, G the integral of -a_psi + (c/eps) phi^2."""
         sys0 = base_system(F=0.0, psi_coupling=3.0)
-        env = gw.solve_envelope(sys0, horizon=10.0)
+        env = gw.solve_envelope(sys0, upto(10.0))
         a_phi = sys0.phi_damping / sys0.poincare_phi**2
         a_psi = sys0.psi_damping / sys0.poincare_psi**2
         cpl = sys0.psi_coupling / sys0.eps
@@ -88,10 +97,10 @@ class TestEnvelope:
         np.testing.assert_allclose(env.psi_sq, sys0.U**2 * np.exp(G), rtol=1e-12, atol=0)
 
     def test_stiff_forced_psi_matches_a_finer_quadrature(self):
-        """psi_damping = 100 gives |g| h near 80 on the default 513-point grid; the
+        """psi_damping = 100 gives |g| h near 80 on a 513-point grid; the
         envelope matches a Gauss-Legendre sum over whole steps with 4x its pieces."""
         sys0 = base_system(psi_damping=100.0, psi_coupling=2.0, U=0.3, F=0.2)
-        env = gw.solve_envelope(sys0, horizon=10.0)
+        env = gw.solve_envelope(sys0, upto(10.0))
         a = sys0.phi_damping / sys0.poincare_phi**2
         cpl = sys0.psi_coupling / sys0.eps
         phi_inf = sys0.phi_source * sys0.F**2 / a
@@ -120,19 +129,19 @@ class TestEnvelope:
         # with U = F and matched source the exponential term has zero weight
         sys0 = base_system(U=0.2, F=0.2, phi_source=1.0, phi_damping=1.0,
                            poincare_phi=1.0)
-        env = gw.solve_envelope(sys0, horizon=2.0)
+        env = gw.solve_envelope(sys0, upto(2.0))
         assert np.ptp(env.phi_sq) <= 1e-15
 
     def test_unforced_envelopes_decay_to_zero(self):
         sys0 = base_system(F=0.0)
-        env = gw.solve_envelope(sys0, horizon=40.0)
+        env = gw.solve_envelope(sys0, upto(40.0))
         assert env.theta_sq[-1] <= 1e-6 * env.theta_sq[0]
         assert env.phi_sq[-1] <= 1e-6 * env.phi_sq[0]
         assert env.psi_tail_bound == 0.0  # limsup bound vanishes with F
 
     def test_envelopes_nonnegative_and_monotone_toward_floor(self):
         sys0 = base_system(U=0.3, F=0.05)
-        env = gw.solve_envelope(sys0, horizon=10.0)
+        env = gw.solve_envelope(sys0, upto(10.0))
         for arr in (env.theta_sq, env.phi_sq, env.psi_sq):
             assert np.all(arr >= 0.0)
         # U > F: decay toward the forcing floor is monotone
@@ -143,27 +152,29 @@ class TestEnvelope:
         for _ in range(10):
             u1, f1 = rng.uniform(0.01, 0.5, 2)
             du, df = rng.uniform(0.0, 0.5, 2)
-            env1 = gw.solve_envelope(base_system(U=u1, F=f1), horizon=5.0)
-            env2 = gw.solve_envelope(base_system(U=u1 + du, F=f1 + df), horizon=5.0)
+            env1 = gw.solve_envelope(base_system(U=u1, F=f1), upto(5.0))
+            env2 = gw.solve_envelope(base_system(U=u1 + du, F=f1 + df), upto(5.0))
             assert np.all(env2.theta_sq >= env1.theta_sq - 1e-12)
             assert np.all(env2.phi_sq >= env1.phi_sq - 1e-12)
             assert np.all(env2.psi_sq >= env1.psi_sq - 1e-12)
 
     def test_dissipation_integral_finite(self):
-        env = gw.solve_envelope(base_system(), horizon=50.0)
+        env = gw.solve_envelope(base_system(), upto(50.0))
         assert np.isfinite(env.dissipation_integral)
         assert env.dissipation_integral > 0.0
 
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError, match="horizon"):
-            gw.solve_envelope(base_system(), horizon=0.0)
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.25, 1.0], [-0.1, 0.5]],
+                             ids=["decreasing", "negative"])
+    def test_times_must_be_nonnegative_and_nondecreasing(self, times):
+        with pytest.raises(ValueError, match="nondecreasing and nonnegative"):
+            gw.solve_envelope(base_system(), np.array(times))
 
     def test_integration_failure_is_numerical_error(self):
         """A coupling of 1e6 / eps grows psi^2 past every double within the horizon,
         from U > 0 and, through the source alone, from U = 0."""
         for U in (0.1, 0.0):
             with pytest.raises(dg.NumericalError, match="psi envelope integration failed"):
-                gw.solve_envelope(base_system(psi_coupling=1e6, U=U), horizon=50.0)
+                gw.solve_envelope(base_system(psi_coupling=1e6, U=U), upto(50.0))
 
 
 class TestContainment:
@@ -172,7 +183,7 @@ class TestContainment:
         below the envelope (comparison principle)."""
         sys0 = base_system(U=0.2, F=0.1)
         times = np.linspace(0.0, 4.0, 81)
-        env = gw.solve_envelope(sys0, horizon=4.0, times=times)
+        env = gw.solve_envelope(sys0, times)
         series = synthetic_series(
             times,
             theta=0.9 * np.sqrt(env.theta_sq),
@@ -194,7 +205,7 @@ class TestContainment:
     def test_scaled_violation_located(self):
         sys0 = base_system(U=0.2, F=0.1)
         times = np.linspace(0.0, 4.0, 81)
-        env = gw.solve_envelope(sys0, horizon=4.0, times=times)
+        env = gw.solve_envelope(sys0, times)
         phi = np.sqrt(env.phi_sq)
         phi_bad = phi.copy()
         phi_bad[40:] *= 10.0  # push above the envelope midway
@@ -213,7 +224,7 @@ class TestContainment:
         report names theta^2 only, and both margins are negative."""
         sys0 = base_system(U=0.2, F=0.1)
         times = np.linspace(0.0, 4.0, 81)
-        env = gw.solve_envelope(sys0, horizon=4.0, times=times)
+        env = gw.solve_envelope(sys0, times)
         theta = 0.9 * np.sqrt(env.theta_sq)
         psi = 0.9 * np.sqrt(env.psi_sq)
         theta[10:] *= 10.0
@@ -226,6 +237,36 @@ class TestContainment:
         assert report.first_violation == ("theta_sq", times[10])
         assert report.margins["theta_sq"] < 0.0 and report.margins["psi_sq"] < 0.0
         assert report.margins["phi_sq"] > 0.0
+
+    def test_earliest_exit_reported(self):
+        """psi^2 leaves its envelope at t = 0.25 and theta^2 at t = 3.0: the report
+        names psi^2, the earlier exit, although theta^2 is checked first."""
+        sys0 = base_system(U=0.2, F=0.1)
+        times = np.linspace(0.0, 4.0, 81)
+        env = gw.solve_envelope(sys0, times)
+        theta = 0.9 * np.sqrt(env.theta_sq)
+        psi = 0.9 * np.sqrt(env.psi_sq)
+        theta[times >= 3.0] *= 10.0
+        psi[times >= 0.25] *= 10.0
+        series = synthetic_series(
+            times, theta, 0.9 * np.sqrt(env.phi_sq), psi, sys0.poincare_phi, forcing=sys0.F
+        )
+        report = gw.check_trajectory(series, env)
+        assert report.first_violation == ("psi_sq", 0.25)
+
+    def test_equal_exit_times_keep_the_check_order(self):
+        """phi^2 and psi^2 both leave at sample 20: phi^2, checked before psi^2, is named."""
+        sys0 = base_system(U=0.2, F=0.1)
+        times = np.linspace(0.0, 4.0, 81)
+        env = gw.solve_envelope(sys0, times)
+        phi = 0.9 * np.sqrt(env.phi_sq)
+        psi = 0.9 * np.sqrt(env.psi_sq)
+        phi[20:] *= 10.0
+        psi[20:] *= 10.0
+        series = synthetic_series(
+            times, 0.9 * np.sqrt(env.theta_sq), phi, psi, sys0.poincare_phi, forcing=sys0.F
+        )
+        assert gw.check_trajectory(series, env).first_violation == ("phi_sq", times[20])
 
     def test_guard_crossing_located(self):
         """A guard shear_coupling sqrt(eps) (phi + psi) that rises to shear_damping
@@ -253,12 +294,16 @@ class TestContainment:
         )
         with pytest.raises(ValueError, match="mismatched parameters"):
             contain(series, sys0)
+        # base_system's F = 0.05 against a forcing column of 0.1
+        quiet = synthetic_series(times, np.zeros(11), np.zeros(11), np.zeros(11), 0.16, forcing=0.1)
+        with pytest.raises(ValueError, match="series forcing exceeds the declared F"):
+            contain(quiet, base_system())
 
     def test_envelope_on_other_times_rejected(self):
         sys0 = base_system()
         times = np.linspace(0.0, 1.0, 11)
         series = synthetic_series(times, np.zeros(11), np.zeros(11), np.zeros(11), 0.16)
-        env = gw.solve_envelope(sys0, horizon=1.0, times=np.linspace(0.0, 1.0, 21))
+        env = gw.solve_envelope(sys0, np.linspace(0.0, 1.0, 21))
         with pytest.raises(ValueError, match="sample times"):
             gw.check_trajectory(series, env)
 
@@ -333,6 +378,13 @@ class TestRescale:
         other = replace(res.domain, eps=res.domain.eps / 2)
         with pytest.raises(ValueError, match="rescaling of the original domain"):
             gw.inverse_rescale(sp.SpectralField(other, res.u_tilde.coeffs), d)
+
+    def test_forcing_on_another_domain_rejected(self, rng):
+        d = sp.DomainSpec(l1=2.0, l2=1.0, eps=0.125, nu=0.5, n1=4, n2=4, n3=1)
+        u = sp.leray(sp.random_field(d, rng))
+        f = sp.leray(sp.random_field(replace(d, nu=1.0), rng))
+        with pytest.raises(ValueError, match="u and f must share a domain"):
+            gw.rescale(u, f)
 
     @pytest.mark.parametrize("l1, nu", [(1.0, 1.0), (2.0, 0.5), (3.5, 0.02)])
     def test_map_equals_the_checked_full_box_map(self, l1, nu):

@@ -177,6 +177,18 @@ class TestDyadicDecomposition:
         mass = np.sum(np.abs(f.coeffs) ** 2) - 0.0  # mean mode already pinned
         assert prof.total_sq == pytest.approx(mass, rel=1e-14)
 
+    def test_no_mode_at_unit_frequency(self):
+        """On a 4 x 4 box with n1 = n2 = 1 every |r| is at most sqrt(2)/4 < 1: no
+        block, zero sums, and the half-derivative norm of the field itself."""
+        c = np.zeros((3, 3), complex)
+        c[2, 1] = c[0, 1] = 0.5
+        f = iq.Field2D(4.0, 4.0, 1, 1, c)
+        prof = iq.dyadic_decompose(f)
+        assert prof.block_norms.size == 0
+        assert prof.total_sq == 0.0 and prof.weighted_sq == 0.0
+        assert prof.half_deriv_norm == f.norm_ds(0.5) > 0.0
+        assert prof.multiplier_constant == 1.0 / (2.0 * np.pi * 16.0)
+
     def test_multiplier_bound(self, rng):
         for _ in range(20):
             n = 8
@@ -195,6 +207,26 @@ class TestEstimators:
             iq.estimate_constant("sobolev-9", thin_box, budget=5)
         with pytest.raises(ValueError, match="budget"):
             iq.estimate_constant("thin-sup", thin_box, budget=0)
+
+    @pytest.mark.parametrize("inequality, domain", [
+        ("planar-l4", sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=8, n2=8, n3=1)),
+        ("thin-l4", sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=3, n2=3, n3=2)),
+    ])
+    def test_budget_counts_every_ratio_evaluation(self, monkeypatch, inequality, domain):
+        """Trials and ascent together evaluate exactly budget ratios: the ascent
+        starts from the incumbent's ratio instead of scoring it again."""
+        calls = []
+        ratio = iq._RATIO_DISPATCH[inequality]
+
+        def counting(field, params):
+            calls.append(1)
+            return ratio(field, params)
+
+        monkeypatch.setitem(iq._RATIO_DISPATCH, inequality, counting)
+        est = iq.estimate_constant(inequality, domain, budget=24, seed=3, refine=True)
+        assert est.upper_bound is None or est.max_ratio < est.upper_bound
+        assert est.trial_count == 12
+        assert len(calls) == 24
 
     @pytest.mark.parametrize("kwargs", [{"p": 1.0}, {"p": 0.5}, {"oversample": 0}])
     def test_exponent_and_oversampling_validated(self, thin_box, kwargs):
@@ -459,6 +491,11 @@ class TestScalingFit:
         with pytest.raises(ValueError, match="3 eps"):
             iq.fit_eps_scaling("thin-sup", [0.5, 0.25], [])
 
+    def test_needs_one_estimate_per_eps(self, thin_box):
+        est = iq.estimate_constant("thin-sup", thin_box, budget=2, refine=False)
+        with pytest.raises(ValueError, match="one estimate per eps value"):
+            iq.fit_eps_scaling("thin-sup", [0.5, 0.25, 0.125], [est, est])
+
     def test_fixed_shape_reproduces_own_scaling(self):
         """A single vertical mode has ratio ~ eps^(3/2) for the sup case."""
         eps_values = [0.2, 0.1, 0.05, 0.025]
@@ -474,7 +511,8 @@ class TestScalingFit:
                 iq.ConstantEstimate(
                     inequality="thin-sup", l1=1.0, l2=1.0, eps=eps,
                     resolution=(2, 2, 2), trial_count=1, max_ratio=ratio,
-                    maximizer=w, best_trial_kind="fixed",
+                    maximizer=w, best_trial_kind="fixed", upper_bound=None,
+                    params={"oversample": 4},
                 )
             )
             # analytic: sup = 1, ||D^2 w||_2 = (2 pi / eps)^2 sqrt(vol / 2)

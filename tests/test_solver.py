@@ -217,6 +217,12 @@ class TestGuards:
         with pytest.raises(ValueError, match="advective bound"):
             sv.run(u0, None, cfg)
 
+    def test_initial_data_must_be_divergence_free(self, decay_domain, rng):
+        u0 = sp.random_field(decay_domain, rng)
+        assert sp.divergence_defect(u0) > 1e-3
+        with pytest.raises(ValueError, match="initial data is not divergence-free"):
+            sv.run(u0, None, sv.SolverConfig(dt=1e-3, t_end=1e-3))
+
     def test_cfl_estimate_zero_field(self, decay_domain):
         assert sv.cfl_estimate(sp.SpectralField.zeros(decay_domain)) == np.inf
 
@@ -246,6 +252,8 @@ class TestGuards:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="dt"):
             sv.SolverConfig(dt=0.0, t_end=1.0)
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            sv.SolverConfig(dt=1e-3, t_end=0.0)
         with pytest.raises(ValueError, match="scheme"):
             sv.SolverConfig(dt=1e-3, t_end=1.0, scheme="euler")
         with pytest.raises(ValueError, match="diag_stride"):

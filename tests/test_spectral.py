@@ -164,6 +164,11 @@ class TestTransforms:
         with pytest.raises(ValueError, match="smaller than the mode box"):
             sp.to_spectral(np.zeros((3, 8, 9, 5)), small_domain)
 
+    @pytest.mark.parametrize("shape", [(9, 9, 5), (2, 9, 9, 5), (3, 9, 9, 5, 1)])
+    def test_samples_of_the_wrong_shape_rejected(self, small_domain, shape):
+        with pytest.raises(ValueError, match=r"samples must have shape \(3, N1, N2, N3\)"):
+            sp.to_spectral(np.zeros(shape), small_domain)
+
 
 class TestDerivative:
     def test_alpha_zero_is_identity(self, small_domain, rng):
