@@ -4,10 +4,13 @@ Subcommands: simulate | sweep | estimate-constants | verify-inequalities |
 rescale-check | thresholds.  Configuration is a plain-text key=value file
 (``#`` comments allowed); any value can be overridden on the command line
 with repeated ``--set key=value`` flags, which is what scripted sweeps use.
-A key left unset takes the default of the library function it is passed to;
-the CLI sets its own only where that function has none (initial.u, the
-seed) or where it deliberately differs: forcing.amplitude=0.01, the sweep's
-budget=20 and rescale-check's slope=-1.0.
+A key the command does not read exits 2 before anything is computed or
+written, so a misspelt or removed key cannot pass silently; every command
+takes out and seed, which --out and --seed set.  A key left unset takes the
+default of the library function it is passed to; the CLI sets its own only
+where that function has none (initial.u, the seed) or where it deliberately
+differs: forcing.amplitude=0.01, the sweep's budget=20 and rescale-check's
+slope=-1.0.
 Every scenario writes its artifacts (CSV/JSON in the formats of
 thinflow.artifacts) plus a manifest.json carrying the resolved config, its
 hash, package versions and wall time.  Each command takes the config and the
@@ -125,6 +128,30 @@ def _domain_from(cfg: dict) -> sp.DomainSpec:
     return sp.DomainSpec(**{k: _coerce(cfg, k, cast, required=True) for k, cast in hints.items()})
 
 
+_DOMAIN_KEYS = tuple(get_type_hints(sp.DomainSpec))
+#: the config keys each command reads, besides out and seed
+_KEYS = {
+    "simulate": (
+        *_DOMAIN_KEYS, "dt", "t_end", "scheme", "diag_stride", "checkpoint_stride",
+        "enforce_cfl", "initial.kind", "initial.u", "initial.slope", "initial.q_fraction",
+        "forcing.kind", "forcing.profile", "forcing.slope", "forcing.amplitude",
+        "forcing.omega", "forcing.phase",
+    ),
+    "sweep": ("inequality", "eps_list", "l1", "l2", "n3", "cap", "budget"),
+    "estimate-constants": (*_DOMAIN_KEYS, "inequality", "budget", "oversample", "alpha", "p"),
+    "verify-inequalities": ("in", "regime", "slack_rel"),
+    "rescale-check": (*_DOMAIN_KEYS, "slope"),
+    "thresholds": ("eps_list", "delta", "c"),
+}
+
+
+def _check_keys(cfg: dict, scenario: str) -> None:
+    """A ConfigError naming the keys of cfg that the scenario does not read."""
+    stray = sorted(set(cfg) - {"out", "seed", *_KEYS[scenario]})
+    if stray:
+        raise ConfigError(f"{scenario} does not read config key(s) {', '.join(map(repr, stray))}")
+
+
 def _out_dir(cfg: dict, scenario: str) -> str:
     root = cfg.get("out")
     if root is None:
@@ -186,6 +213,12 @@ def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
             "padded grid; delete the key"
         )
     domain = _domain_from(cfg)
+    run_cfg = sv.SolverConfig(
+        dt=_coerce(cfg, "dt", float, required=True),
+        t_end=_coerce(cfg, "t_end", float, required=True),
+        **_given(cfg, scheme=str, diag_stride=int, checkpoint_stride=int, enforce_cfl=bool),
+    )
+    _check_keys(cfg, "simulate")
     seed = _coerce(cfg, "seed", int, default=0)
     rng = np.random.default_rng(seed)
     u0 = sv.make_initial(
@@ -197,11 +230,6 @@ def cmd_simulate(cfg: dict, out: str) -> tuple[int, list[str]]:
     )
     forcing = _build_forcing(cfg, domain, rng)
     F = forcing.f_bound if forcing is not None else 0.0
-    run_cfg = sv.SolverConfig(
-        dt=_coerce(cfg, "dt", float, required=True),
-        t_end=_coerce(cfg, "t_end", float, required=True),
-        **_given(cfg, scheme=str, diag_stride=int, checkpoint_stride=int, enforce_cfl=bool),
-    )
     result = sv.run(u0, forcing, run_cfg, out_dir=out, run_id="run")
     U = sp.h1_norm(u0)
     result.series.to_csv(os.path.join(out, "diagnostics.csv"))
@@ -234,6 +262,7 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
     in_dir = cfg.get("in")
     if in_dir is None:
         raise ConfigError("missing required config key 'in' (a simulate output directory)")
+    _check_keys(cfg, "verify-inequalities")
     series = dg.DiagnosticSeries.from_csv(os.path.join(in_dir, "diagnostics.csv"))
     with open(os.path.join(in_dir, "run_meta.json")) as fh:
         meta = json.load(fh)
@@ -273,10 +302,7 @@ def cmd_verify_inequalities(cfg: dict, out: str) -> tuple[int, list[str]]:
     # inequalities alone do not assemble into a comparison system)
     env_regime = "planar" if "planar" in regimes else ("full" if "full" in regimes else None)
     if env_regime is not None:
-        fit_reports = [r for r in all_reports if r.name.startswith(env_regime)]
-        system = gw.InequalitySystem.from_fits(
-            domain, fit_reports, U=U, F=F, regime=env_regime
-        )
+        system = gw.InequalitySystem.from_fits(domain, all_reports, U=U, F=F, regime=env_regime)
         env = gw.solve_envelope(system, series.times)
         containment = gw.check_trajectory(series, env)
         env.to_csv(os.path.join(out, "envelope.csv"))
@@ -312,6 +338,7 @@ def _write_estimate(
 def cmd_estimate_constants(cfg: dict, out: str) -> tuple[int, list[str]]:
     domain = _domain_from(cfg)
     inequality = _coerce(cfg, "inequality", str, required=True)
+    _check_keys(cfg, "estimate-constants")
     est = iq.estimate_constant(
         inequality, domain,
         **_given(cfg, budget=int, seed=int, oversample=int, alpha=float, p=float),
@@ -325,6 +352,7 @@ def cmd_estimate_constants(cfg: dict, out: str) -> tuple[int, list[str]]:
 def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
     inequality = cfg.get("inequality", "thin-sup")
     eps_values = _float_list(cfg, "eps_list", required=True)
+    _check_keys(cfg, "sweep")
     subdirs = [f"eps_{eps:g}" for eps in eps_values]
     shared = sorted({name for name in subdirs if subdirs.count(name) > 1})
     if shared:
@@ -365,6 +393,7 @@ def cmd_sweep(cfg: dict, out: str) -> tuple[int, list[str]]:
 
 def cmd_rescale_check(cfg: dict, out: str) -> tuple[int, list[str]]:
     domain = _domain_from(cfg)
+    _check_keys(cfg, "rescale-check")
     seed = _coerce(cfg, "seed", int, default=0)
     rng = np.random.default_rng(seed)
     slope = _coerce(cfg, "slope", float, default=-1.0)
@@ -393,6 +422,7 @@ def cmd_rescale_check(cfg: dict, out: str) -> tuple[int, list[str]]:
 
 def cmd_thresholds(cfg: dict, out: str) -> tuple[int, list[str]]:
     eps_values = _float_list(cfg, "eps_list", default=[0.1, 0.01, 0.001])
+    _check_keys(cfg, "thresholds")
     table = gw.literature_thresholds(eps_values, **_given(cfg, delta=float, c=float))
     gw.write_thresholds_csv(table, os.path.join(out, "thresholds.csv"))
     write_json(os.path.join(out, "thresholds.json"), table)

@@ -401,40 +401,6 @@ def _fit_chebyshev(
 _DEFAULT_BOUNDS = (0.0, 1e9)
 
 
-def _fit_one(
-    name: str,
-    times: np.ndarray,
-    lhs: np.ndarray,
-    cols: dict[str, np.ndarray],
-    lhs_floor: float,
-    slack_rel: float,
-    bounds: dict[str, tuple[float, float]] | None,
-    trajectory_id: str,
-) -> InequalityReport:
-    box = {n: _DEFAULT_BOUNDS for n in cols}
-    if bounds:
-        box.update({n: bounds[n] for n in bounds if n in box})
-    constants, residuals = _fit_chebyshev(lhs, cols, box)
-    residual_max = float(np.max(residuals))
-    term_peaks = {
-        n: float(np.max(np.abs(constants[n] * cols[n]), initial=0.0)) for n in cols
-    }
-    scale = max(float(np.max(np.abs(lhs), initial=0.0)) + sum(term_peaks.values()), lhs_floor)
-    slack = slack_rel * max(scale, 1e-300)
-    verdict = "pass" if residual_max <= slack else "fail"
-    return InequalityReport(
-        name=name,
-        fitted_constants=constants,
-        residual_max=residual_max,
-        slack=slack,
-        verdict=verdict,
-        trajectory_id=trajectory_id,
-        term_peaks=term_peaks,
-        times=times,
-        residuals=residuals,
-    )
-
-
 def check_diff_inequalities(
     series: DiagnosticSeries,
     eps: float,
@@ -478,9 +444,25 @@ def _fit_series(series_list, eps, regime, slack_rel, bounds, trajectory_id):
         lhs = np.concatenate([d[1] for d in defs])
         cols = {k: np.concatenate([d[2][k] for d in defs]) for k in first_cols}
         lhs_floor = max(d[3] for d in defs)
-        reports.append(
-            _fit_one(name, times, lhs, cols, lhs_floor, slack_rel, bounds, trajectory_id)
-        )
+        box = {n: _DEFAULT_BOUNDS for n in cols}
+        if bounds:
+            box.update({n: bounds[n] for n in bounds if n in box})
+        constants, residuals = _fit_chebyshev(lhs, cols, box)
+        residual_max = float(np.max(residuals))
+        term_peaks = {n: float(np.max(np.abs(constants[n] * cols[n]), initial=0.0)) for n in cols}
+        scale = max(float(np.max(np.abs(lhs), initial=0.0)) + sum(term_peaks.values()), lhs_floor)
+        slack = slack_rel * max(scale, 1e-300)
+        reports.append(InequalityReport(
+            name=name,
+            fitted_constants=constants,
+            residual_max=residual_max,
+            slack=slack,
+            verdict="pass" if residual_max <= slack else "fail",
+            trajectory_id=trajectory_id,
+            term_peaks=term_peaks,
+            times=times,
+            residuals=residuals,
+        ))
     return reports
 
 

@@ -390,11 +390,11 @@ class ContainmentReport:
         return record(self) | {"guard_crossed": self.guard_crossed}
 
 
-def check_trajectory(
-    series: DiagnosticSeries,
-    env: GronwallEnvelope,
-    slack_rel: float = 1e-6,
-) -> ContainmentReport:
+#: relative slack of the containment check over each envelope value
+_CONTAIN_SLACK_REL = 1e-6
+
+
+def check_trajectory(series: DiagnosticSeries, env: GronwallEnvelope) -> ContainmentReport:
     """Verify a simulated trajectory never exceeds env, its system's envelope
     solved on the series' own times (a ValueError otherwise).  first_violation
     is the earliest exit of theta^2, phi^2 or psi^2 (ties in that order).
@@ -426,7 +426,7 @@ def check_trajectory(
     exits = []
     margins = {}
     for name, values, bound in checks:
-        allowed = bound * (1.0 + slack_rel) + abs_slack
+        allowed = bound * (1.0 + _CONTAIN_SLACK_REL) + abs_slack
         over = values > allowed
         margins[name] = float(np.min(allowed - values))
         if np.any(over):

@@ -37,6 +37,7 @@ component, and the thin profiles are built on the p >= 0 half box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -415,22 +416,18 @@ _RATIO_DISPATCH = {
 _REFINE_TOP_K = 40
 
 
-def _refine_coordinates(best, best_ratio: float, ratio_fn, budget: int):
+def _refine_coordinates(best, best_ratio: float, ratio_fn, make, budget: int):
     """Cyclic coordinate ascent on the largest coefficients of the incumbent best.
 
     Perturbs real and imaginary parts of the dominant modes (keeping the
     Hermitian mirror in sync), with a step that shrinks whenever a full pass
     yields no improvement.  Derivative-free and deterministic: at most budget
-    ratio evaluations, each against best_ratio, the incumbent's.
+    ratio evaluations, each against best_ratio, the incumbent's.  make wraps
+    a full mode box as a candidate of best's type.
     """
     # the incumbent (a mirror) and each candidate (a _symmetrize) are exactly Hermitian
-    if isinstance(best, Field2D):
-        make = lambda c: Field2D._wrap(best.l1, best.l2, best.n1, best.n2, c[..., best.n2 :])
-        nd = 2
-    else:
-        make = lambda c: SpectralField._wrap(best.domain, c[..., best.domain.n3 :])
-        nd = 3
     coeffs = best.coeffs.copy()
+    nd = min(coeffs.ndim, 3)  # a planar slab's two mode axes, a vector field's three
     flat = np.abs(coeffs).ravel()
     # descending, ties (a Hermitian pair) in index order on every SIMD dispatch level
     order = np.argsort(-flat, kind="stable")[: min(_REFINE_TOP_K, flat.size)]
@@ -558,6 +555,7 @@ def estimate_constant(
 
         random_trial = lambda env: wrap(_hermitian_half(_draw(rng, kmag.shape, env), 2))
     else:
+        make = lambda c: SpectralField._wrap(domain, c[..., domain.n3 :])
         q_constrained = inequality != "poincare"
         if q_constrained:
             # deterministic near-extremal profiles on the range of Q
@@ -617,7 +615,7 @@ def estimate_constant(
             kind, env = family
             consider(random_trial(env), kind)
         if refine and refine_budget > 0:
-            refined, refined_ratio = _refine_coordinates(best, best_ratio, ratio_fn, refine_budget)
+            refined, refined_ratio = _refine_coordinates(best, best_ratio, ratio_fn, make, refine_budget)
             if refined_ratio > best_ratio:
                 best, best_ratio = refined, refined_ratio
                 best_kind += "+ascent"
@@ -676,11 +674,17 @@ def fit_eps_scaling(
     if len(estimates) != len(eps_values):
         raise ValueError("one estimate per eps value required")
     ratios = np.array([e.max_ratio for e in estimates])
+    # least squares from centred, correctly rounded sums, so no BLAS or LAPACK
+    # kernel picks the bits; stderr has np.polyfit's cov scaling SSR / (n - 2)
     x = np.log(eps_values)
     y = np.log(ratios)
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    slope, intercept = float(coef[0]), float(coef[1])
-    stderr = float(np.sqrt(cov[0, 0]))
+    n = len(x)
+    xm, ym = math.fsum(x) / n, math.fsum(y) / n
+    dx, dy = x - xm, y - ym
+    sxx = math.fsum(dx * dx)
+    slope = math.fsum(dx * dy) / sxx
+    intercept = ym - slope * xm
+    stderr = math.sqrt(math.fsum((dy - slope * dx) ** 2) / (n - 2) / sxx)
     expected = _EXPECTED_SLOPE.get(inequality)
     normalized = ratios / eps_values ** (expected if expected is not None else 0.0)
     return ScalingFit(

@@ -54,7 +54,6 @@ from .spectral import (
     SpectralField,
     default_grid,
     divergence_defect,
-    grid_coords,
     h1_norm,
     kvec_grids,
     ksq_grid,
@@ -65,10 +64,10 @@ from .spectral import (
     random_field,
     save_checkpoint,
     to_physical,
-    to_spectral,
     _block_rows,
     _box_sum,
     _c2c_half,
+    _half_shape,
     _leray_raw,
     _mirror,
     _r2c_planes,
@@ -480,6 +479,8 @@ def run(
             )
     n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-9))
     last_dt = cfg.t_end - (n_steps - 1) * cfg.dt
+    # a last step within roundoff of dt keeps cfg, and so its cached stepper
+    last_cfg = cfg if abs(last_dt - cfg.dt) < 1e-12 * cfg.dt else replace(cfg, dt=last_dt)
 
     builder = SeriesBuilder()
     checkpoints: list[str] = []
@@ -508,11 +509,7 @@ def run(
             # each state before the last, sampled or not, goes to a stride file
             if cfg.checkpoint_stride > 0 and state.step % cfg.checkpoint_stride == 0:
                 checkpoint(state, f"step{state.step:08d}")
-            dt_i = cfg.dt if i < n_steps - 1 else last_dt
-            if abs(dt_i - cfg.dt) < 1e-12 * cfg.dt:
-                state = step(state, forcing, cfg)
-            else:
-                state = step(state, forcing, replace(cfg, dt=dt_i))
+            state = step(state, forcing, cfg if i < n_steps - 1 else last_cfg)
             if state.step % cfg.diag_stride == 0 or i == n_steps - 1:
                 builder.append(state.t, state.u, f_l2(state.t))
     except BlowUpError as exc:
@@ -546,7 +543,7 @@ def make_initial(
     kinds: 'random-divfree' (3D power-law spectrum), 'z-independent'
     (vertical-average modes only), 'q-perturbed' (z-independent base plus a
     q_fraction-weighted oscillatory part), 'taylor-green-like' (the planar
-    cellular vortex).
+    cellular vortex, its four modes (+-1, +-1, 0) only, so exactly planar).
     """
     rng = np.random.default_rng(seed)
     if kind == "random-divfree":
@@ -562,18 +559,13 @@ def make_initial(
             raise ValueError("empty spectrum: cannot build a q-perturbed field")
         base = planar * ((1.0 - q_fraction) / nr) + osc * (q_fraction / nq)
     elif kind == "taylor-green-like":
-        grid = default_grid(domain)
-        x, y, _ = grid_coords(domain, grid)
-        X = x[:, None, None]
-        Y = y[None, :, None]
-        phys = np.zeros((3,) + grid)
-        phys[0] = np.sin(2 * np.pi * X / domain.l1) * np.cos(2 * np.pi * Y / domain.l2)
-        phys[1] = (
-            -(domain.l2 / domain.l1)
-            * np.cos(2 * np.pi * X / domain.l1)
-            * np.sin(2 * np.pi * Y / domain.l2)
-        )
-        base = leray(to_spectral(phys, domain))
+        # u = (sin(2 pi x/l1) cos(2 pi y/l2), -(l2/l1) cos(2 pi x/l1) sin(2 pi y/l2), 0):
+        # its four modes (+-1, +-1, 0), written on the half box
+        half = np.zeros(_half_shape(domain), dtype=np.complex128)
+        m, n = np.meshgrid([-1, 1], [-1, 1], indexing="ij")
+        half[0, domain.n1 + m, domain.n2 + n, 0] = -0.25j * m
+        half[1, domain.n1 + m, domain.n2 + n, 0] = 0.25j * n * (domain.l2 / domain.l1)
+        base = leray(SpectralField._wrap(domain, half))
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")
     if u_target == 0.0:

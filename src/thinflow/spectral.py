@@ -128,15 +128,8 @@ class DomainSpec:
         return (2 * self.n1 + 1, 2 * self.n2 + 1, 2 * self.n3 + 1)
 
     @property
-    def lengths(self) -> tuple[float, float, float]:
-        return (self.l1, self.l2, self.eps)
-
-    @property
     def volume(self) -> float:
         return self.l1 * self.l2 * self.eps
-
-    def same_geometry(self, other: "DomainSpec") -> bool:
-        return self.lengths == other.lengths
 
 
 def mode_range(n: int) -> np.ndarray:
@@ -582,18 +575,14 @@ def truncate(f: SpectralField, spec: DomainSpec) -> SpectralField:
     zero-pads.  Idempotent and diagonal-in-mode, so it commutes with the
     projection operators.  Geometry (l1, l2, eps) must match.
     """
-    if not f.domain.same_geometry(spec):
+    d = f.domain
+    if (d.l1, d.l2, d.eps) != (spec.l1, spec.l2, spec.eps):
         raise ValueError("truncate requires matching box geometry")
     out = np.zeros(_half_shape(spec), dtype=np.complex128)
-    w1 = min(f.domain.n1, spec.n1)
-    w2 = min(f.domain.n2, spec.n2)
-    w3 = min(f.domain.n3, spec.n3)
-    src = f.half[
-        :,
-        f.domain.n1 - w1 : f.domain.n1 + w1 + 1,
-        f.domain.n2 - w2 : f.domain.n2 + w2 + 1,
-        : w3 + 1,
-    ]
+    w1 = min(d.n1, spec.n1)
+    w2 = min(d.n2, spec.n2)
+    w3 = min(d.n3, spec.n3)
+    src = f.half[:, d.n1 - w1 : d.n1 + w1 + 1, d.n2 - w2 : d.n2 + w2 + 1, : w3 + 1]
     out[
         :,
         spec.n1 - w1 : spec.n1 + w1 + 1,

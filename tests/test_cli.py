@@ -582,6 +582,89 @@ class TestLibraryDefaults:
             assert _artifact_bytes(out) == unset, key
 
 
+#: command and arguments of a run it accepts, small enough to run in a test
+_MINIMAL = [
+    ("simulate", _SIM_ARGS),
+    ("sweep", ["--set", "eps_list=0.25,0.125,0.0625", "--set", "budget=4", "--set", "cap=16"]),
+    ("estimate-constants", _BOX_ARGS + ["--set", "inequality=hausdorff-young", "--set", "budget=4"]),
+    ("verify-inequalities", ["--set", "in=RUN"]),
+    ("rescale-check", _BOX_ARGS),
+    ("thresholds", []),
+]
+
+
+class _ReadSpy(dict):
+    """A config dict that records each key a command looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestUnreadKeys:
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--out", str(out), *_SIM_ARGS]) == cli.EXIT_OK
+        return out
+
+    @staticmethod
+    def _args(args, run_dir):
+        return [a.replace("RUN", str(run_dir)) for a in args]
+
+    @pytest.mark.parametrize("command, args", _MINIMAL, ids=[c for c, _ in _MINIMAL])
+    def test_stray_key_exits_2_before_any_write(self, tmp_path, capsys, command, args):
+        """A key the command does not read exits 2 with one error line naming it and
+        the command, and the output directory stays empty."""
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), *self._args(args, tmp_path / "none"),
+                "--set", "bogus=1"]
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {command} does not read config key(s) 'bogus'"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["thresholds", "--set", "eps_list=0.1", "--set", "deltaa=5", "--set", "envelope=false"],
+         "'deltaa', 'envelope'"),
+        (["verify-inequalities", "--set", "in=RUN", "--set", "regime=planar",
+          "--set", "envelope=false"], "'envelope'"),
+        (["sweep", "--set", "eps_list=0.25,0.125,0.0625", "--set", "budget=4",
+          "--set", "refine=true"], "'refine'"),
+    ], ids=["misspelt-delta", "removed-envelope", "removed-refine"])
+    def test_misspelt_and_removed_keys(self, run_dir, tmp_path, capsys, argv, keys):
+        out = tmp_path / "o"
+        assert run_cli([*self._args(argv, run_dir), "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[0]} does not read config key(s) {keys}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, args", _MINIMAL, ids=[c for c, _ in _MINIMAL])
+    def test_each_command_reads_exactly_its_keys(self, run_dir, tmp_path, command, args):
+        """The table names every key the command looks up (dealias only to reject it),
+        and the command looks up every key the table names."""
+        extra = ["--set", "forcing.omega=2.0"] if command == "simulate" else []
+        parsed = cli.build_parser().parse_args([command, *self._args(args, run_dir), *extra])
+        spy = _ReadSpy(cli.resolve_config(parsed))
+        (tmp_path / "o").mkdir()
+        code, _ = cli._COMMANDS[command](spy, str(tmp_path / "o"))
+        assert code in (cli.EXIT_OK, 1)
+        assert spy.read - {"dealias"} <= {"out", "seed", *cli._KEYS[command]}
+        assert set(cli._KEYS[command]) <= spy.read
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         """python -m thinflow.cli works as the installed entry point does."""
@@ -598,6 +681,17 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, thinflow.cli; assert 'scipy.integrate' not in sys.modules"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_import_loads_no_submodule(self):
+        """import thinflow alone loads neither scipy nor any thinflow submodule."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, thinflow; loaded = [m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith('thinflow.')]; "
+             "assert not loaded, loaded"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Tests for the empirical constant estimators and the dyadic decomposition."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -538,6 +539,19 @@ class TestScalingFit:
             # normalized ratios read as flat: bounded spread
             spread = np.ptp(np.log(fit.normalized_ratios))
             assert spread <= 0.35
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_closed_form_fit_matches_polyfit(self, n):
+        """Slope, intercept and stderr (polyfit's cov scaling) agree with np.polyfit."""
+        rng = np.random.default_rng(n)
+        eps_values = 2.0 ** -np.arange(2.0, 2.0 + n)
+        ratios = 0.02 * eps_values**0.5 * np.exp(0.1 * rng.standard_normal(n))
+        estimates = [SimpleNamespace(max_ratio=r) for r in ratios]
+        fit = iq.fit_eps_scaling("thin-sup", eps_values, estimates)
+        coef, cov = np.polyfit(np.log(eps_values), np.log(ratios), 1, cov=True)
+        assert fit.slope == pytest.approx(coef[0], rel=1e-12, abs=0.0)
+        assert fit.intercept == pytest.approx(coef[1], rel=1e-12, abs=0.0)
+        assert fit.stderr == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12, abs=0.0)
 
     def test_csv_writer(self, tmp_path, thin_box):
         est = iq.estimate_constant("thin-sup", thin_box, budget=6, seed=1, refine=False)

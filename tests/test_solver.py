@@ -339,6 +339,35 @@ class TestMakeInitial:
         u = sv.make_initial(d, "q-perturbed", u_target=0.3, seed=11)
         assert sp.norm_l2(sp.proj_q(u)) > 0.01 * sp.norm_l2(u)
 
+    @pytest.mark.parametrize("modes, l1", [((4, 4, 1), 1.0), ((6, 5, 2), 1.5), ((6, 5, 3), 1.5)])
+    def test_taylor_green_is_its_four_modes(self, modes, l1):
+        """(sin(2 pi x/l1) cos(2 pi y/l2), -(l2/l1) cos(2 pi x/l1) sin(2 pi y/l2), 0) has
+        the modes (+-1, +-1, 0) only, so every p > 0 coefficient is exactly 0 at any n3,
+        including the n3 whose z grid (5 or 11 points) an FFT would leave roundoff on."""
+        n1, n2, n3 = modes
+        d = sp.DomainSpec(l1=l1, l2=1.0, eps=0.2, nu=1.0, n1=n1, n2=n2, n3=n3)
+        u = sv.make_initial(d, "taylor-green-like", u_target=0.3)
+        assert not u.half[..., 1:].any()
+        c = np.zeros((3,) + d.shape, complex)
+        for m in (-1, 1):
+            for n in (-1, 1):
+                c[0, n1 + m, n2 + n, n3] = m / 4j
+                c[1, n1 + m, n2 + n, n3] = -(d.l2 / d.l1) * n / 4j
+        ref = sp.SpectralField(d, c)
+        ref = ref * (0.3 / sp.h1_norm(ref))
+        assert np.max(np.abs(u.coeffs - ref.coeffs)) <= 1e-15 * np.max(np.abs(ref.coeffs))
+
+    def test_taylor_green_forced_planar_run_stays_planar(self):
+        """Planar data under steady Taylor-Green forcing keeps chi and every p > 0
+        coefficient exactly 0 at n3 = 1 (a 5-point z grid)."""
+        d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.2, nu=1.0, n1=4, n2=4, n3=1)
+        u0 = sv.make_initial(d, "z-independent", u_target=0.1, seed=3)
+        profile = sv.make_initial(d, "taylor-green-like", u_target=1.0)
+        forcing = sv.ForcingSpec.steady(profile, 0.05)
+        result = sv.run(u0, forcing, sv.SolverConfig(dt=0.002, t_end=0.02, scheme="etd-rk2"))
+        assert np.all(result.series.chi == 0.0)
+        assert not result.final_state.u.half[..., 1:].any()
+
     def test_zero_amplitude(self):
         d = sp.DomainSpec(l1=1.0, l2=1.0, eps=0.125, nu=1.0, n1=4, n2=4, n3=1)
         u = sv.make_initial(d, "random-divfree", u_target=0.0, seed=0)
